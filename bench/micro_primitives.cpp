@@ -20,7 +20,7 @@
 #include "data/synth_mnist.hpp"
 #include "host/frames.hpp"
 #include "pdn/pdn.hpp"
-#include "quant/gemm.hpp"
+#include "oracle/oracle.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/cosim_lanes.hpp"
 #include "sim/experiment.hpp"
@@ -152,7 +152,6 @@ void BM_Qconv2dGemm(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::quant::QLayer& conv2 = net.layer("CONV2");
     const ds::QTensor input = conv2_input();
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             ds::quant::qconv2d(input, conv2.weight, conv2.bias, conv2.activation));
@@ -164,12 +163,10 @@ void BM_Qconv2dScalar(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::quant::QLayer& conv2 = net.layer("CONV2");
     const ds::QTensor input = conv2_input();
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Off);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            ds::quant::qconv2d(input, conv2.weight, conv2.bias, conv2.activation));
+            ds::oracle::qconv2d(input, conv2.weight, conv2.bias, conv2.activation));
     }
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
 }
 BENCHMARK(BM_Qconv2dScalar);
 
@@ -179,7 +176,7 @@ void BM_QConv2dLayer(benchmark::State& state) {
     const ds::QTensor img = bench_image();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            ds::quant::qconv2d(img, conv1.weight, conv1.bias, true));
+            ds::quant::qconv2d(img, conv1.weight, conv1.bias, conv1.activation));
     }
 }
 BENCHMARK(BM_QConv2dLayer);
@@ -410,25 +407,30 @@ void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
 
-// The same uncached 200-image evaluation with the engine forced back to
-// the scalar oracle kernels (GemmMode::Off, which also disables
-// batching). Paired with BM_EvaluateAccuracyMultiBatched below — the
-// identical workload through GEMM + image batching — as the headline
-// same-run speedup of the vectorized engine; CI gates the ratio. The
-// faulted path (BM_EvaluateAccuracyMulti) is excluded from the pair on
-// purpose: its per-op fault walk draws one Gaussian deviate per
-// scheduled op regardless of kernel engine, a cost the report-identity
-// contract pins in place.
+// The same uncached 200-image evaluation on the tests-only scalar oracle:
+// a per-image oracle forward plus argmax under the same parallel_for the
+// evaluation loop uses. Paired with BM_EvaluateAccuracyMultiBatched below
+// — the identical workload through GEMM + image batching — as the
+// headline same-run speedup of the vectorized engine; CI gates the ratio.
+// The faulted path (BM_EvaluateAccuracyMulti) is excluded from the pair on
+// purpose: its per-op fault walk draws one Gaussian deviate per scheduled
+// op regardless of kernel engine, a cost the report-identity contract pins
+// in place.
 void BM_EvaluateAccuracyMultiScalar(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Off);
+    const ds::quant::QNetwork& network = platform.engine().network();
     for (auto _ : state) {
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 200, nullptr, 99);
-        benchmark::DoNotOptimize(res.accuracy);
+        std::vector<std::uint8_t> correct(200, 0);
+        ds::parallel_for(200, [&](std::size_t i) {
+            const ds::QTensor logits = ds::oracle::forward(
+                network, ds::quant::quantize_image(data.test.images[i]));
+            correct[i] = ds::argmax(logits) == data.test.labels[i] ? 1 : 0;
+        });
+        std::size_t n_correct = 0;
+        for (std::uint8_t c : correct) n_correct += c;
+        benchmark::DoNotOptimize(n_correct);
     }
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
 }
 BENCHMARK(BM_EvaluateAccuracyMultiScalar)->Unit(benchmark::kMillisecond);
 
@@ -439,8 +441,6 @@ BENCHMARK(BM_EvaluateAccuracyMultiScalar)->Unit(benchmark::kMillisecond);
 void BM_EvaluateAccuracyMultiBatched(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-    ds::quant::gemm::set_eval_batch(16);
     for (auto _ : state) {
         const ds::sim::AccuracyResult res =
             ds::sim::evaluate_accuracy(platform, data.test, 200, nullptr, 99);
@@ -450,13 +450,12 @@ void BM_EvaluateAccuracyMultiBatched(benchmark::State& state) {
 BENCHMARK(BM_EvaluateAccuracyMultiBatched)->Unit(benchmark::kMillisecond);
 
 // Golden-store construction over 200 images: batched forward_trace blocks
-// with the GEMM engine vs the per-image scalar build. Campaigns pay this
-// once up front, so CI gates the pair to keep the build win real.
+// with the GEMM engine vs the same per-image work (quantize_image plus a
+// forward trace) on the scalar oracle. Campaigns pay this once up front,
+// so CI gates the pair to keep the build win real.
 void BM_GoldenStoreBuild(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-    ds::quant::gemm::set_eval_batch(16);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             ds::sim::build_golden_store(platform.engine().network(), data.test, 200));
@@ -467,12 +466,15 @@ BENCHMARK(BM_GoldenStoreBuild)->Unit(benchmark::kMillisecond);
 void BM_GoldenStoreBuildScalar(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Off);
+    const ds::quant::QNetwork& network = platform.engine().network();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ds::sim::build_golden_store(platform.engine().network(), data.test, 200));
+        std::vector<ds::quant::QNetwork::ForwardTrace> traces(200);
+        ds::parallel_for(200, [&](std::size_t i) {
+            traces[i] = ds::oracle::forward_trace(
+                network, ds::quant::quantize_image(data.test.images[i]));
+        });
+        benchmark::DoNotOptimize(traces);
     }
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
 }
 BENCHMARK(BM_GoldenStoreBuildScalar)->Unit(benchmark::kMillisecond);
 

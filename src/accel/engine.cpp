@@ -35,7 +35,7 @@ DspSlice make_pool_slice(const AccelConfig& config, std::uint64_t variation_seed
 
 /// Output-element ranges whose op spans intersect an unsafe window
 /// (merged, ascending). Elements outside these ranges execute entirely at
-/// safe voltage and are computed by the golden range kernels.
+/// safe voltage and write back straight from the fault-free accumulators.
 std::vector<std::pair<std::size_t, std::size_t>> hot_element_ranges(
     const SegmentOverlay& overlay, const LayerSegment& seg, std::size_t ops_per_elem,
     std::size_t n_elems) {
@@ -104,7 +104,7 @@ QTensor patch_dense(const QTensor& x, const QTensor& golden_in,
                      w_row[idx].raw();
         }
         od[j] = delta == 0 ? golden_out.data()[j]
-                           : detail::apply_activation(
+                           : quant::apply_activation(
                                  Q3_4::from_accumulator(gaccs[j] + delta),
                                  layer.activation);
     }
@@ -212,17 +212,6 @@ AccelEngine::AccelEngine(quant::QNetwork network, const AccelConfig& config,
     pool_safe_v_ = pool_logic_.safe_voltage(delay_);
 }
 
-bool AccelEngine::segment_under_voltage(const LayerSegment& seg,
-                                        const VoltageTrace* voltage,
-                                        double safe_v) const {
-    if (voltage == nullptr) return false;
-    const std::size_t end = std::min(seg.end_cycle() * 2, voltage->size());
-    for (std::size_t i = seg.start_cycle * 2; i < end; ++i) {
-        if ((*voltage)[i] < safe_v) return true;
-    }
-    return false;
-}
-
 OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
     OverlayPlan plan;
     plan.trace_samples = voltage == nullptr ? 0 : voltage->size();
@@ -288,46 +277,26 @@ QTensor AccelEngine::run_conv(const QTensor& input, const quant::QLayer& layer,
 
     QTensor out(Shape{out_c, out_h, out_w});
 
-    // With the GEMM engine enabled, compute the whole layer's golden
-    // accumulators in one im2col/GEMM pass: gap elements write back
-    // directly from them, and hot windows take them through the existing
-    // golden_accs path (copy instead of re-summing per element). Integer
-    // accumulation is exact, so the accumulators — and therefore the
-    // faulted outputs and the RNG stream — are byte-identical to the
-    // scalar walk (GemmMode::Off below).
-    if (quant::gemm::enabled()) {
-        thread_local std::vector<fx::Acc> accs;
-        quant::gemm::conv2d_accs(input, w, layer.bias, accs);
-        std::size_t cursor = 0;
-        for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, opp, n_elems)) {
-            for (std::size_t p = cursor; p < e0; ++p) {
-                out.data()[p] = detail::apply_activation(
-                    Q3_4::from_accumulator(accs[p]), layer.activation);
-            }
-            run_conv_window(input, layer, seg, overlay, voltage, rng, throttle,
-                            counts, accs.data(), e0, e1, out);
-            cursor = e1;
-        }
-        for (std::size_t p = cursor; p < n_elems; ++p) {
-            out.data()[p] = detail::apply_activation(
-                Q3_4::from_accumulator(accs[p]), layer.activation);
-        }
-        return out;
-    }
-
+    // One im2col/GEMM pass computes the whole layer's fault-free
+    // accumulators: gap elements write back directly from them, and hot
+    // windows start from them and patch in the integer fault deltas.
+    // Integer accumulation is exact, so the faulted outputs and the RNG
+    // stream are byte-identical to the per-op reference walk.
+    thread_local std::vector<fx::Acc> accs;
+    quant::gemm::conv2d_accs(input, w, layer.bias, accs);
     std::size_t cursor = 0;
     for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, opp, n_elems)) {
-        if (cursor < e0) {
-            quant::detail::qconv2d_outputs_unchecked(input, w, layer.bias,
-                                                     layer.activation, cursor, e0, out);
+        for (std::size_t p = cursor; p < e0; ++p) {
+            out.data()[p] = quant::apply_activation(Q3_4::from_accumulator(accs[p]),
+                                                    layer.activation);
         }
         run_conv_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                        nullptr, e0, e1, out);
+                        accs.data(), e0, e1, out);
         cursor = e1;
     }
-    if (cursor < n_elems) {
-        quant::detail::qconv2d_outputs_unchecked(input, w, layer.bias,
-                                                 layer.activation, cursor, n_elems, out);
+    for (std::size_t p = cursor; p < n_elems; ++p) {
+        out.data()[p] = quant::apply_activation(Q3_4::from_accumulator(accs[p]),
+                                                layer.activation);
     }
     return out;
 }
@@ -336,11 +305,10 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
                                   const LayerSegment& seg, const SegmentOverlay& overlay,
                                   const VoltageTrace* voltage, Rng& rng,
                                   const std::vector<bool>* throttle,
-                                  FaultCounts& counts, const fx::Acc* golden_accs,
+                                  FaultCounts& counts, const fx::Acc* seed_accs,
                                   std::size_t elem_begin, std::size_t elem_end,
                                   QTensor& out) const {
     const QTensor& w = layer.weight;
-    const QTensor& b = layer.bias;
     const std::size_t in_c = input.shape().dim(0);
     const std::size_t in_h = input.shape().dim(1);
     const std::size_t in_w = input.shape().dim(2);
@@ -357,7 +325,6 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
 
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = w.data();
-    const Q3_4* b_data = b.data();
     Q3_4* out_data = out.data();
     const double* vs = voltage->data();
     const std::size_t vn = voltage->size();
@@ -396,44 +363,16 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
     // image-independent: an op draws exactly when its DDR-half sample is
     // under the safe voltage and its cycle is unthrottled, and none of that
     // depends on the image data. So instead of threading every op of the
-    // covered range through a gated loop, compute the golden accumulators
-    // with tight integer kernels, then walk only the unsafe-window ops in
-    // ascending op order — drawing the RNG exactly as the sequential per-op
-    // path would — and patch the owning element's accumulator with the
-    // integer delta (faulted contribution minus true product). Integer sums
-    // are exact under reassociation, so the result is byte-identical to the
-    // reference per-op evaluation.
+    // covered range through a gated loop, start from the fault-free
+    // accumulators, then walk only the unsafe-window ops in ascending op
+    // order — drawing the RNG exactly as the sequential per-op path would —
+    // and patch the owning element's accumulator with the integer delta
+    // (faulted contribution minus true product). Integer sums are exact
+    // under reassociation, so the result is byte-identical to the reference
+    // per-op evaluation.
     const std::size_t op_begin = elem_begin * opp;
     const std::size_t op_end = elem_end * opp;
-
-    // When the caller holds the layer's cached golden accumulators the
-    // re-summation below collapses to a copy (the input is golden, so the
-    // sums would reproduce the cached values bit-for-bit).
-    std::vector<fx::Acc> accs(elem_end - elem_begin);
-    if (golden_accs != nullptr) {
-        std::copy(golden_accs + elem_begin, golden_accs + elem_end, accs.begin());
-    } else {
-        for (std::size_t p = elem_begin; p < elem_end; ++p) {
-            const std::size_t oc = p / plane;
-            const std::size_t rc = p % plane;
-            const std::size_t r = rc / out_w;
-            const std::size_t c = rc % out_w;
-            std::int32_t acc32 = 0; // |product| <= 2^14, opp <= 2^16: no overflow
-            const Q3_4* w_oc = w_data + oc * opp;
-            for (std::size_t ic = 0; ic < in_c; ++ic) {
-                for (std::size_t kr = 0; kr < k; ++kr) {
-                    const Q3_4* in_row = in_data + (ic * in_h + r + kr) * in_w + c;
-                    const Q3_4* w_row = w_oc + ic * kk + kr * k;
-                    for (std::size_t kc = 0; kc < k; ++kc) {
-                        acc32 +=
-                            static_cast<std::int32_t>(in_row[kc].raw()) * w_row[kc].raw();
-                    }
-                }
-            }
-            accs[p - elem_begin] =
-                (static_cast<fx::Acc>(b_data[oc].raw()) << Q3_4::frac_bits) + acc32;
-        }
-    }
+    std::vector<fx::Acc> accs(seed_accs + elem_begin, seed_accs + elem_end);
 
     // Fault pass: per window, the per-cycle delay factors are shared by
     // every op captured at the same DDR half sample (fac memo, reset at
@@ -488,7 +427,7 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
     }
 
     for (std::size_t p = elem_begin; p < elem_end; ++p) {
-        out_data[p] = detail::apply_activation(
+        out_data[p] = quant::apply_activation(
             Q3_4::from_accumulator(accs[p - elem_begin]), layer.activation);
     }
 }
@@ -507,42 +446,23 @@ QTensor AccelEngine::run_fc(const QTensor& input, const quant::QLayer& layer,
 
     QTensor out(Shape{out_n});
 
-    // See run_conv: one GEMM pass supplies the golden accumulators for
-    // both gap writebacks and hot-window seeding, byte-identical to the
-    // scalar walk.
-    if (quant::gemm::enabled()) {
-        thread_local std::vector<fx::Acc> accs;
-        quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
-        std::size_t cursor = 0;
-        for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, in_n, out_n)) {
-            for (std::size_t p = cursor; p < e0; ++p) {
-                out.data()[p] = detail::apply_activation(
-                    Q3_4::from_accumulator(accs[p]), layer.activation);
-            }
-            run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                          accs.data(), e0, e1, out);
-            cursor = e1;
-        }
-        for (std::size_t p = cursor; p < out_n; ++p) {
-            out.data()[p] = detail::apply_activation(
-                Q3_4::from_accumulator(accs[p]), layer.activation);
-        }
-        return out;
-    }
-
+    // See run_conv: one GEMM pass supplies the fault-free accumulators for
+    // both gap writebacks and hot-window seeding.
+    thread_local std::vector<fx::Acc> accs;
+    quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
     std::size_t cursor = 0;
     for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, in_n, out_n)) {
-        if (cursor < e0) {
-            quant::detail::qdense_outputs_unchecked(input, layer.weight, layer.bias,
-                                                    layer.activation, cursor, e0, out);
+        for (std::size_t p = cursor; p < e0; ++p) {
+            out.data()[p] = quant::apply_activation(Q3_4::from_accumulator(accs[p]),
+                                                    layer.activation);
         }
         run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                      nullptr, e0, e1, out);
+                      accs.data(), e0, e1, out);
         cursor = e1;
     }
-    if (cursor < out_n) {
-        quant::detail::qdense_outputs_unchecked(input, layer.weight, layer.bias,
-                                                layer.activation, cursor, out_n, out);
+    for (std::size_t p = cursor; p < out_n; ++p) {
+        out.data()[p] = quant::apply_activation(Q3_4::from_accumulator(accs[p]),
+                                                layer.activation);
     }
     return out;
 }
@@ -551,10 +471,9 @@ void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer
                                 const LayerSegment& seg, const SegmentOverlay& overlay,
                                 const VoltageTrace* voltage, Rng& rng,
                                 const std::vector<bool>* throttle, FaultCounts& counts,
-                                const fx::Acc* golden_accs, std::size_t elem_begin,
+                                const fx::Acc* seed_accs, std::size_t elem_begin,
                                 std::size_t elem_end, QTensor& out) const {
     const QTensor& w = layer.weight;
-    const QTensor& b = layer.bias;
     const std::size_t in_n = w.shape().dim(1);
     const std::size_t mpc = seg.ops_per_cycle;
     const bool tmr = config_.tmr_protection;
@@ -562,7 +481,6 @@ void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer
 
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = w.data();
-    const Q3_4* b_data = b.data();
     Q3_4* out_data = out.data();
     const double* vs = voltage->data();
     const std::size_t vn = voltage->size();
@@ -583,22 +501,7 @@ void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer
     // Golden-plus-deltas evaluation; see run_conv_window for the argument.
     const std::size_t op_begin = elem_begin * in_n;
     const std::size_t op_end = elem_end * in_n;
-
-    // See run_conv_window: cached golden accumulators replace the sums.
-    std::vector<fx::Acc> accs(elem_end - elem_begin);
-    if (golden_accs != nullptr) {
-        std::copy(golden_accs + elem_begin, golden_accs + elem_end, accs.begin());
-    } else {
-        for (std::size_t o = elem_begin; o < elem_end; ++o) {
-            const Q3_4* w_row = w_data + o * in_n;
-            std::int32_t acc32 = 0; // |product| <= 2^14, fan-in <= 2^16: no overflow
-            for (std::size_t i = 0; i < in_n; ++i) {
-                acc32 += static_cast<std::int32_t>(in_data[i].raw()) * w_row[i].raw();
-            }
-            accs[o - elem_begin] =
-                (static_cast<fx::Acc>(b_data[o].raw()) << Q3_4::frac_bits) + acc32;
-        }
-    }
+    std::vector<fx::Acc> accs(seed_accs + elem_begin, seed_accs + elem_end);
 
     // See run_conv_window for the binary-search rationale.
     const bool no_throttle = throttle == nullptr;
@@ -648,7 +551,7 @@ void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer
     }
 
     for (std::size_t o = elem_begin; o < elem_end; ++o) {
-        out_data[o] = detail::apply_activation(
+        out_data[o] = quant::apply_activation(
             Q3_4::from_accumulator(accs[o - elem_begin]), layer.activation);
     }
 }
@@ -658,14 +561,60 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
                               const VoltageTrace* voltage, Rng& rng,
                               const std::vector<bool>* throttle,
                               FaultCounts& counts) const {
+    const bool average = layer.kind == quant::QLayerKind::AvgPool2;
     if (!overlay.any()) {
-        return layer.kind == quant::QLayerKind::AvgPool2 ? quant::qavgpool2(input)
-                                                         : quant::qmaxpool2(input);
+        return average ? quant::qavgpool2(input) : quant::qmaxpool2(input);
     }
     // Pool segments are tiny (a few thousand comparator ops); when a window
-    // touches one, the whole-segment per-op path is already cheap and
-    // trivially byte-identical.
-    return run_pool_reference(input, layer, seg, voltage, rng, throttle, counts);
+    // touches one, walking every op of the segment is already cheap and
+    // trivially byte-identical to the per-op reference.
+    const std::size_t ch = input.shape().dim(0);
+    const std::size_t oh = input.shape().dim(1) / 2;
+    const std::size_t ow = input.shape().dim(2) / 2;
+    QTensor out(Shape{ch, oh, ow});
+
+    std::size_t g = 0;
+    const std::size_t opc = seg.ops_per_cycle;
+    for (std::size_t c = 0; c < ch; ++c) {
+        for (std::size_t r = 0; r < oh; ++r) {
+            for (std::size_t wdx = 0; wdx < ow; ++wdx) {
+                Q3_4 window[4] = {input.at(c, 2 * r, 2 * wdx),
+                                  input.at(c, 2 * r, 2 * wdx + 1),
+                                  input.at(c, 2 * r + 1, 2 * wdx),
+                                  input.at(c, 2 * r + 1, 2 * wdx + 1)};
+                bool faulted = false;
+                for (std::size_t cmp = 0; cmp < 4; ++cmp) {
+                    const std::size_t cycle = seg.start_cycle + g / opc;
+                    // Pool comparators are registered on the fabric clock:
+                    // one capture at end of cycle (second half sample).
+                    const std::size_t sidx = cycle * 2 + 1;
+                    const double v = sidx < voltage->size() ? (*voltage)[sidx]
+                                                            : delay_.vdd;
+                    if (v < pool_safe_v_ && !detail::throttled(throttle, cycle) &&
+                        pool_logic_.evaluate(v, delay_, rng) != FaultKind::None) {
+                        faulted = true;
+                        ++counts.random;
+                    }
+                    ++g;
+                }
+                if (faulted) {
+                    // Comparator/adder mis-operated: an arbitrary window
+                    // element (possibly the right one) wins.
+                    out.at(c, r, wdx) = window[rng.uniform_int(0, 3)];
+                } else if (average) {
+                    const std::int32_t sum = window[0].raw() + window[1].raw() +
+                                             window[2].raw() + window[3].raw();
+                    const std::int32_t avg =
+                        sum >= 0 ? (sum + 2) / 4 : -((-sum + 2) / 4);
+                    out.at(c, r, wdx) = Q3_4::from_raw(static_cast<std::int16_t>(avg));
+                } else {
+                    out.at(c, r, wdx) = std::max(std::max(window[0], window[1]),
+                                                 std::max(window[2], window[3]));
+                }
+            }
+        }
+    }
+    return out;
 }
 
 RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
@@ -759,33 +708,27 @@ RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
     return result;
 }
 
+// With cached accumulators a gap element costs only an int64 copy and a
+// writeback, so one window call spanning every hot range beats hundreds of
+// per-range calls (each re-entering the window walk). The RNG stream is
+// unchanged: the same windows are visited in the same order with the same
+// unclipped op bounds.
 QTensor AccelEngine::run_conv_golden(const QTensor& input, const QTensor& golden_out,
                                      const quant::QLayer& layer, const LayerSegment& seg,
                                      const SegmentOverlay& overlay,
                                      const VoltageTrace* voltage, Rng& rng,
                                      const std::vector<bool>* throttle,
                                      FaultCounts& counts,
-                                     const std::vector<fx::Acc>* golden_accs) const {
+                                     const std::vector<fx::Acc>& golden_accs) const {
     const QTensor& w = layer.weight;
     const std::size_t opp =
         input.shape().dim(0) * w.shape().dim(2) * w.shape().dim(3);
-    const fx::Acc* accs =
-        golden_accs != nullptr && !golden_accs->empty() ? golden_accs->data() : nullptr;
     QTensor out = golden_out; // safe gap elements are already golden
     const auto ranges = hot_element_ranges(overlay, seg, opp, golden_out.size());
-    if (accs != nullptr && !ranges.empty()) {
-        // With cached accumulators a gap element costs only an int64 copy
-        // and a writeback, so one window call spanning every hot range beats
-        // hundreds of per-range calls (each re-entering the window walk).
-        // The RNG stream is unchanged: the same windows are visited in the
-        // same order with the same unclipped op bounds.
+    if (!ranges.empty()) {
         run_conv_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                        accs, ranges.front().first, ranges.back().second, out);
-    } else {
-        for (const auto& [e0, e1] : ranges) {
-            run_conv_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                            accs, e0, e1, out);
-        }
+                        golden_accs.data(), ranges.front().first,
+                        ranges.back().second, out);
     }
     return out;
 }
@@ -796,37 +739,36 @@ QTensor AccelEngine::run_fc_golden(const QTensor& input, const QTensor& golden_o
                                    const VoltageTrace* voltage, Rng& rng,
                                    const std::vector<bool>* throttle,
                                    FaultCounts& counts,
-                                   const std::vector<fx::Acc>* golden_accs) const {
+                                   const std::vector<fx::Acc>& golden_accs) const {
     const std::size_t in_n = layer.weight.shape().dim(1);
-    const fx::Acc* accs =
-        golden_accs != nullptr && !golden_accs->empty() ? golden_accs->data() : nullptr;
     QTensor out = golden_out;
     const auto ranges = hot_element_ranges(overlay, seg, in_n, golden_out.size());
-    if (accs != nullptr && !ranges.empty()) {
-        // Single spanning call; see run_conv_golden for the rationale.
+    if (!ranges.empty()) {
         run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                      accs, ranges.front().first, ranges.back().second, out);
-    } else {
-        for (const auto& [e0, e1] : ranges) {
-            run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                          accs, e0, e1, out);
-        }
+                      golden_accs.data(), ranges.front().first, ranges.back().second,
+                      out);
     }
     return out;
 }
 
 RunResult AccelEngine::run_elided(const QTensor& image,
                                   const std::vector<QTensor>& golden_layers,
+                                  const std::vector<std::vector<fx::Acc>>& golden_accs,
                                   const VoltageTrace* voltage, Rng& fault_rng,
                                   const OverlayPlan& plan,
-                                  const std::vector<bool>* throttle,
-                                  const std::vector<std::vector<fx::Acc>>* golden_accs)
-    const {
+                                  const std::vector<bool>* throttle) const {
     expects(image.shape() == network_.input_shape, "AccelEngine::run_elided: input shape");
     expects(golden_layers.size() == network_.layers.size(),
             "AccelEngine::run_elided: one golden activation per layer");
-    expects(golden_accs == nullptr || golden_accs->size() == network_.layers.size(),
+    expects(golden_accs.size() == network_.layers.size(),
             "AccelEngine::run_elided: one accumulator array per layer");
+    for (std::size_t i = 0; i < network_.layers.size(); ++i) {
+        const quant::QLayerKind kind = network_.layers[i].kind;
+        const bool mac =
+            kind == quant::QLayerKind::Conv || kind == quant::QLayerKind::Dense;
+        expects(!mac || golden_accs[i].size() == golden_layers[i].size(),
+                "AccelEngine::run_elided: accumulators for every conv/dense output");
+    }
     expects(plan.layers.size() == network_.layers.size() &&
                 plan.trace_samples == (voltage == nullptr ? 0 : voltage->size()),
             "AccelEngine::run_elided: overlay plan does not match trace/network");
@@ -867,14 +809,12 @@ RunResult AccelEngine::run_elided(const QTensor& image,
                 // layer can consume a rank-3 golden input directly: the
                 // implicit flatten is a shape change, never a data change.
                 const QTensor& in = i == 0 ? image : golden_layers[i - 1];
-                const std::vector<fx::Acc>* accs =
-                    golden_accs == nullptr ? nullptr : &(*golden_accs)[i];
                 QTensor out;
                 switch (layer.kind) {
                     case quant::QLayerKind::Conv:
                         out = run_conv_golden(in, golden_layers[i], layer, seg,
                                               overlay, voltage, fault_rng, throttle,
-                                              counts, accs);
+                                              counts, golden_accs[i]);
                         break;
                     case quant::QLayerKind::Pool2:
                     case quant::QLayerKind::AvgPool2:
@@ -884,24 +824,19 @@ RunResult AccelEngine::run_elided(const QTensor& image,
                     case quant::QLayerKind::Dense:
                         out = run_fc_golden(in, golden_layers[i], layer, seg, overlay,
                                             voltage, fault_rng, throttle, counts,
-                                            accs);
+                                            golden_accs[i]);
                         break;
                 }
                 ops_executed += seg.total_ops;
                 if (counts.total() != 0) {
                     diverged = true;
+                    sparse = true;
                     x = std::move(out);
-                    if (golden_accs != nullptr) {
-                        sparse = true;
-                        changed = diff_indices(x, golden_layers[i]);
-                    }
+                    changed = diff_indices(x, golden_layers[i]);
                 }
             }
         } else {
-            if (sparse &&
-                (overlay.any() || changed.size() * 2 >= x.size() ||
-                 (layer.kind == quant::QLayerKind::Dense &&
-                  (*golden_accs)[i].empty()))) {
+            if (sparse && (overlay.any() || changed.size() * 2 >= x.size())) {
                 sparse = false;
             }
             if (sparse) {
@@ -916,7 +851,7 @@ RunResult AccelEngine::run_elided(const QTensor& image,
                         break;
                     case quant::QLayerKind::Dense:
                         out = patch_dense(x, golden_layers[i - 1], changed, layer,
-                                          (*golden_accs)[i], golden_layers[i]);
+                                          golden_accs[i], golden_layers[i]);
                         break;
                 }
                 changed = diff_indices(out, golden_layers[i]);

@@ -17,8 +17,8 @@
 // stale DSP output registers recovered on demand by direct op-stream index
 // arithmetic so duplication faults stay bit-exact. The fault RNG is only
 // drawn when an op's capture voltage is below the safe threshold, so the
-// gated path consumes the exact same RNG stream as the retained per-op
-// reference implementation (run_reference) — byte-identical results, which
+// gated path consumes the exact same RNG stream as the whole-segment
+// per-op reference engine in tests/oracle — byte-identical results, which
 // tests/overlay_test.cpp enforces across randomized traces.
 #pragma once
 
@@ -116,51 +116,40 @@ public:
 
     /// Golden-elided inference: byte-identical to run() — same logits,
     /// fault counts, and fault-RNG stream — but answers as much of the
-    /// forward pass as possible from cached golden activations
-    /// (`golden_layers` = quant::QNetwork::forward_activations of the same
-    /// image, one post-activation tensor per layer):
+    /// forward pass as possible from one cached golden pass of the same
+    /// image (quant::QNetwork::forward_trace): `golden_layers` holds one
+    /// post-activation tensor per layer, `golden_accs` the per-layer
+    /// pre-writeback accumulators (empty for pools).
     ///   - a layer with no unsafe window is skipped outright while the
     ///     activation entering it is still golden (the RNG is only drawn
     ///     inside windows, so the stream is untouched);
     ///   - a windowed conv/FC layer whose input is still golden starts from
-    ///     a copy of its golden output and recomputes only the element
-    ///     ranges its windows touch (safe gap elements become a copy
-    ///     instead of MACs);
-    ///   - once a layer actually faults, the remainder of the network runs
-    ///     the plain gated path on the perturbed activation.
-    /// `golden_accs` optionally supplies the per-layer pre-writeback
-    /// accumulators of the same golden pass (QNetwork::forward_trace):
-    ///   - a windowed conv/FC layer on a still-golden input copies the
-    ///     cached accumulators instead of re-summing every hot element's
-    ///     receptive field (the fault pass only patches integer deltas);
+    ///     a copy of its golden output and of its cached accumulators, and
+    ///     the fault pass only patches integer deltas into the element
+    ///     ranges its windows touch;
     ///   - after divergence, fault-free downstream layers are patched
     ///     sparsely from the golden output: only the elements reachable
     ///     from the changed set are recomputed (dense layers via integer
-    ///     delta sums against the cached accumulators).
-    /// Both are exact — integer accumulation reassociates losslessly — so
-    /// results stay byte-identical to run(), with or without `golden_accs`.
+    ///     delta sums against the cached accumulators);
+    ///   - a post-divergence layer with its own windows, or a changed set
+    ///     too wide to patch, runs the plain gated path.
+    /// All of it is exact — integer accumulation reassociates losslessly —
+    /// so results stay byte-identical to run().
     /// RunResult::golden_layers_reused counts the skipped layers.
     RunResult run_elided(const QTensor& image,
                          const std::vector<QTensor>& golden_layers,
+                         const std::vector<std::vector<fx::Acc>>& golden_accs,
                          const VoltageTrace* voltage, Rng& fault_rng,
                          const OverlayPlan& plan,
-                         const std::vector<bool>* throttle = nullptr,
-                         const std::vector<std::vector<fx::Acc>>* golden_accs =
-                             nullptr) const;
-
-    /// Retained whole-segment per-op implementation: gates golden-vs-per-op
-    /// per segment instead of per cycle window. Byte-identical to run() by
-    /// construction (the overlay property tests assert it); kept as the
-    /// equivalence oracle and as the before/after benchmark reference.
-    RunResult run_reference(const QTensor& image, const VoltageTrace* voltage,
-                            Rng& fault_rng,
-                            const std::vector<bool>* throttle = nullptr) const;
+                         const std::vector<bool>* throttle = nullptr) const;
 
     /// Convenience: fault-free inference.
     RunResult run_clean(const QTensor& image) const;
 
     const std::vector<DspSlice>& conv_dsps() const { return conv_dsps_; }
     const std::vector<DspSlice>& fc_dsps() const { return fc_dsps_; }
+    /// Relaxed-timing comparator/adder path shared by the pool layers.
+    const DspSlice& pool_logic() const { return pool_logic_; }
 
 private:
     // --- interval-gated fast path (engine.cpp) ---
@@ -178,63 +167,42 @@ private:
                      const std::vector<bool>* throttle, FaultCounts& counts) const;
 
     /// Per-op execution of output elements [elem_begin, elem_end) of a conv
-    /// layer. Ops inside the overlay's unsafe windows take the full fault
-    /// path; ops between windows accumulate true products directly (no RNG,
-    /// matching the reference, which only draws below the safe voltage).
-    /// Duplication faults recover the stale DSP register by op-stream index
-    /// arithmetic instead of carrying a pipeline array (fast path).
-    /// `golden_accs`, when non-null, points at the layer's cached golden
-    /// accumulator array (absolute element indexing): the per-element
-    /// golden re-summation is replaced by a copy. Only valid while the
-    /// layer's input is byte-equal to the golden activation the
-    /// accumulators were traced from.
+    /// layer. The elements start from `seed_accs` — the layer's fault-free
+    /// accumulators for this input (absolute element indexing) — and only
+    /// ops inside the overlay's unsafe windows take the fault path, which
+    /// patches integer deltas into them (no RNG elsewhere, matching the
+    /// reference, which only draws below the safe voltage). Duplication
+    /// faults recover the stale DSP register by op-stream index arithmetic
+    /// instead of carrying a pipeline array.
     void run_conv_window(const QTensor& input, const quant::QLayer& layer,
                          const LayerSegment& seg, const SegmentOverlay& overlay,
                          const VoltageTrace* voltage, Rng& rng,
                          const std::vector<bool>* throttle, FaultCounts& counts,
-                         const fx::Acc* golden_accs, std::size_t elem_begin,
+                         const fx::Acc* seed_accs, std::size_t elem_begin,
                          std::size_t elem_end, QTensor& out) const;
     void run_fc_window(const QTensor& input, const quant::QLayer& layer,
                        const LayerSegment& seg, const SegmentOverlay& overlay,
                        const VoltageTrace* voltage, Rng& rng,
                        const std::vector<bool>* throttle, FaultCounts& counts,
-                       const fx::Acc* golden_accs, std::size_t elem_begin,
+                       const fx::Acc* seed_accs, std::size_t elem_begin,
                        std::size_t elem_end, QTensor& out) const;
 
     /// Golden-gap variants for run_elided: `out` starts as a copy of the
     /// layer's cached golden output, and only the hot element ranges go
-    /// through run_*_window (seeded from `golden_accs` when available).
-    /// Valid only while the layer's input is golden.
+    /// through run_*_window, seeded from `golden_accs`. Valid only while
+    /// the layer's input is golden.
     QTensor run_conv_golden(const QTensor& input, const QTensor& golden_out,
                             const quant::QLayer& layer, const LayerSegment& seg,
                             const SegmentOverlay& overlay, const VoltageTrace* voltage,
                             Rng& rng, const std::vector<bool>* throttle,
                             FaultCounts& counts,
-                            const std::vector<fx::Acc>* golden_accs) const;
+                            const std::vector<fx::Acc>& golden_accs) const;
     QTensor run_fc_golden(const QTensor& input, const QTensor& golden_out,
                           const quant::QLayer& layer, const LayerSegment& seg,
                           const SegmentOverlay& overlay, const VoltageTrace* voltage,
                           Rng& rng, const std::vector<bool>* throttle,
                           FaultCounts& counts,
-                          const std::vector<fx::Acc>* golden_accs) const;
-
-    // --- retained reference path (engine_reference.cpp) ---
-    QTensor run_conv_reference(const QTensor& input, const quant::QLayer& layer,
-                               const LayerSegment& seg, const VoltageTrace* voltage,
-                               Rng& rng, const std::vector<bool>* throttle,
-                               FaultCounts& counts) const;
-    QTensor run_fc_reference(const QTensor& input, const quant::QLayer& layer,
-                             const LayerSegment& seg, const VoltageTrace* voltage,
-                             Rng& rng, const std::vector<bool>* throttle,
-                             FaultCounts& counts) const;
-    QTensor run_pool_reference(const QTensor& input, const quant::QLayer& layer,
-                               const LayerSegment& seg, const VoltageTrace* voltage,
-                               Rng& rng, const std::vector<bool>* throttle,
-                               FaultCounts& counts) const;
-
-    /// True when any capture sample of the segment dips below `safe_v`.
-    bool segment_under_voltage(const LayerSegment& seg, const VoltageTrace* voltage,
-                               double safe_v) const;
+                          const std::vector<fx::Acc>& golden_accs) const;
 
     quant::QNetwork network_;
     AccelConfig config_;

@@ -1,13 +1,12 @@
 #include "quant/gemm.hpp"
 
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 #include "quant/qnetwork.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/simd.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -30,44 +29,6 @@ namespace {
 
 const std::int16_t* raw(const QTensor& t) {
     return reinterpret_cast<const std::int16_t*>(t.data());
-}
-
-Q3_4 apply_activation(Q3_4 v, Activation activation) {
-    switch (activation) {
-        case Activation::None: return v;
-        case Activation::Tanh: return fx::TanhLut::instance()(v);
-        case Activation::Relu: return qrelu(v);
-        case Activation::Sign: return qsign(v);
-    }
-    return v;
-}
-
-bool cpu_has_avx2() {
-#if DS_GEMM_X86 && defined(__GNUC__)
-    static const bool has = __builtin_cpu_supports("avx2") != 0;
-    return has;
-#else
-    return false;
-#endif
-}
-
-GemmMode initial_mode() {
-    const char* force = std::getenv("DS_FORCE_SCALAR");
-    if (force != nullptr && force[0] == '1' && force[1] == '\0') {
-        return GemmMode::Scalar;
-    }
-    return GemmMode::Auto;
-}
-
-std::atomic<std::uint8_t>& mode_cell() {
-    static std::atomic<std::uint8_t> cell{
-        static_cast<std::uint8_t>(initial_mode())};
-    return cell;
-}
-
-std::atomic<std::size_t>& eval_batch_cell() {
-    static std::atomic<std::size_t> cell{16};
-    return cell;
 }
 
 /// Per-thread scratch for im2col patches, gathered dense rows, packed
@@ -306,51 +267,9 @@ __attribute__((target("avx2"))) void conv_cols_avx2(
 
 #endif // DS_GEMM_X86
 
-bool use_avx2() {
-#if DS_GEMM_X86
-    return mode() == GemmMode::Auto && cpu_has_avx2();
-#else
-    return false;
-#endif
-}
+bool use_avx2() { return DS_GEMM_X86 && simd::active(); }
 
 } // namespace
-
-const char* mode_name(GemmMode m) {
-    switch (m) {
-        case GemmMode::Auto: return "auto";
-        case GemmMode::Scalar: return "scalar";
-        case GemmMode::Off: return "off";
-    }
-    return "?";
-}
-
-GemmMode parse_mode(const std::string& name) {
-    if (name == "auto") return GemmMode::Auto;
-    if (name == "scalar") return GemmMode::Scalar;
-    if (name == "off") return GemmMode::Off;
-    throw ConfigError("unknown simd mode '" + name + "' (auto|scalar|off)");
-}
-
-GemmMode mode() {
-    return static_cast<GemmMode>(mode_cell().load(std::memory_order_relaxed));
-}
-
-void set_mode(GemmMode m) {
-    mode_cell().store(static_cast<std::uint8_t>(m), std::memory_order_relaxed);
-}
-
-bool enabled() { return mode() != GemmMode::Off; }
-
-bool simd_active() { return use_avx2(); }
-
-std::size_t eval_batch() {
-    return eval_batch_cell().load(std::memory_order_relaxed);
-}
-
-void set_eval_batch(std::size_t images) {
-    eval_batch_cell().store(images, std::memory_order_relaxed);
-}
 
 void gemm_nt_s32(const std::int16_t* a, std::size_t lda, const std::int16_t* b,
                  std::size_t ldb, std::int32_t* c, std::size_t ldc, std::size_t m,

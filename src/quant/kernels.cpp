@@ -17,8 +17,6 @@ QTensor quantize_image(const FloatTensor& image) {
     return quantize(image);
 }
 
-namespace {
-
 Q3_4 apply_activation(Q3_4 v, Activation activation) {
     switch (activation) {
         case Activation::None: return v;
@@ -29,9 +27,11 @@ Q3_4 apply_activation(Q3_4 v, Activation activation) {
     return v;
 }
 
+namespace {
+
 /// Shape validation shared by the public conv entry points; hoisted out
-/// of the range kernels so the per-element/per-gap hot paths (the
-/// detail:: variants) stay branch-light.
+/// of the range kernel so the per-element hot path (the detail:: variant)
+/// stays branch-light.
 void validate_conv(const QTensor& input, const QTensor& weight,
                    const QTensor& bias) {
     expects(input.shape().rank() == 3, "qconv2d: input rank 3");
@@ -69,37 +69,16 @@ fx::Q3_4 qsign(fx::Q3_4 x) {
 }
 
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                bool apply_tanh) {
-    return qconv2d(input, weight, bias,
-                   apply_tanh ? Activation::Tanh : Activation::None);
-}
-
-QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 Activation activation) {
     validate_conv(input, weight, bias);
     const std::size_t k = weight.shape().dim(2);
     const std::size_t out_h = input.shape().dim(1) - k + 1;
     const std::size_t out_w = input.shape().dim(2) - k + 1;
     QTensor out(Shape{weight.shape().dim(0), out_h, out_w});
-    if (gemm::enabled()) {
-        thread_local std::vector<fx::Acc> accs;
-        gemm::conv2d_accs(input, weight, bias, accs);
-        gemm::write_back(accs.data(), accs.size(), activation, out);
-        return out;
-    }
-    detail::qconv2d_outputs_unchecked(input, weight, bias, activation, 0,
-                                      out.size(), out);
+    thread_local std::vector<fx::Acc> accs;
+    gemm::conv2d_accs(input, weight, bias, accs);
+    gemm::write_back(accs.data(), accs.size(), activation, out);
     return out;
-}
-
-void qconv2d_outputs(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                     Activation activation, std::size_t elem_begin,
-                     std::size_t elem_end, QTensor& out) {
-    validate_conv(input, weight, bias);
-    expects(elem_begin <= elem_end && elem_end <= out.size(),
-            "qconv2d_outputs: element range");
-    detail::qconv2d_outputs_unchecked(input, weight, bias, activation, elem_begin,
-                                      elem_end, out);
 }
 
 void detail::qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
@@ -146,50 +125,11 @@ void detail::qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weig
 void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
                    Activation activation, QTensor& out, std::vector<fx::Acc>& accs) {
     validate_conv(input, weight, bias);
-    const std::size_t in_c = input.shape().dim(0);
-    const std::size_t in_h = input.shape().dim(1);
-    const std::size_t in_w = input.shape().dim(2);
-    const std::size_t out_c = weight.shape().dim(0);
     const std::size_t k = weight.shape().dim(2);
-    const std::size_t kk = k * k;
-    const std::size_t out_h = in_h - k + 1;
-    const std::size_t out_w = in_w - k + 1;
-    const std::size_t plane = out_h * out_w;
-    out = QTensor(Shape{out_c, out_h, out_w});
-
-    if (gemm::enabled()) {
-        gemm::conv2d_accs(input, weight, bias, accs);
-        gemm::write_back(accs.data(), accs.size(), activation, out);
-        return;
-    }
-
-    accs.resize(out.size());
-    const Q3_4* in_data = input.data();
-    const Q3_4* w_data = weight.data();
-    const Q3_4* b_data = bias.data();
-    Q3_4* out_data = out.data();
-
-    for (std::size_t p = 0; p < out.size(); ++p) {
-        const std::size_t oc = p / plane;
-        const std::size_t rc = p % plane;
-        const std::size_t r = rc / out_w;
-        const std::size_t c = rc % out_w;
-        std::int32_t acc32 = 0;
-        const Q3_4* w_oc = w_data + oc * in_c * kk;
-        for (std::size_t ic = 0; ic < in_c; ++ic) {
-            for (std::size_t kr = 0; kr < k; ++kr) {
-                const Q3_4* in_row = in_data + (ic * in_h + r + kr) * in_w + c;
-                const Q3_4* w_row = w_oc + ic * kk + kr * k;
-                for (std::size_t kc = 0; kc < k; ++kc) {
-                    acc32 += static_cast<std::int32_t>(in_row[kc].raw()) * w_row[kc].raw();
-                }
-            }
-        }
-        const fx::Acc acc =
-            (static_cast<fx::Acc>(b_data[oc].raw()) << Q3_4::frac_bits) + acc32;
-        accs[p] = acc;
-        out_data[p] = apply_activation(Q3_4::from_accumulator(acc), activation);
-    }
+    out = QTensor(Shape{weight.shape().dim(0), input.shape().dim(1) - k + 1,
+                        input.shape().dim(2) - k + 1});
+    gemm::conv2d_accs(input, weight, bias, accs);
+    gemm::write_back(accs.data(), accs.size(), activation, out);
 }
 
 QTensor qmaxpool2(const QTensor& input) {
@@ -246,90 +186,21 @@ QTensor qavgpool2(const QTensor& input) {
 }
 
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
-               bool apply_tanh) {
-    return qdense(input, weight, bias,
-                  apply_tanh ? Activation::Tanh : Activation::None);
-}
-
-QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                Activation activation) {
     validate_dense(input, weight, bias);
-    const std::size_t out_n = weight.shape().dim(0);
-    QTensor out(Shape{out_n});
-    if (gemm::enabled()) {
-        thread_local std::vector<fx::Acc> accs;
-        gemm::dense_accs(input, weight, bias, accs);
-        gemm::write_back(accs.data(), accs.size(), activation, out);
-        return out;
-    }
-    detail::qdense_outputs_unchecked(input, weight, bias, activation, 0, out_n, out);
+    QTensor out(Shape{weight.shape().dim(0)});
+    thread_local std::vector<fx::Acc> accs;
+    gemm::dense_accs(input, weight, bias, accs);
+    gemm::write_back(accs.data(), accs.size(), activation, out);
     return out;
-}
-
-void qdense_outputs(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                    Activation activation, std::size_t elem_begin,
-                    std::size_t elem_end, QTensor& out) {
-    validate_dense(input, weight, bias);
-    expects(elem_begin <= elem_end && elem_end <= out.size(),
-            "qdense_outputs: element range");
-    detail::qdense_outputs_unchecked(input, weight, bias, activation, elem_begin,
-                                     elem_end, out);
-}
-
-void detail::qdense_outputs_unchecked(const QTensor& input, const QTensor& weight,
-                                      const QTensor& bias, Activation activation,
-                                      std::size_t elem_begin, std::size_t elem_end,
-                                      QTensor& out) {
-    assert(elem_begin <= elem_end && elem_end <= out.size());
-    const std::size_t in_n = weight.shape().dim(1);
-
-    const Q3_4* in_data = input.data();
-    const Q3_4* w_data = weight.data();
-    const Q3_4* b_data = bias.data();
-    Q3_4* out_data = out.data();
-
-    for (std::size_t o = elem_begin; o < elem_end; ++o) {
-        std::int32_t acc32 = 0;
-        const Q3_4* w_row = w_data + o * in_n;
-        for (std::size_t i = 0; i < in_n; ++i) {
-            acc32 += static_cast<std::int32_t>(in_data[i].raw()) * w_row[i].raw();
-        }
-        const fx::Acc acc =
-            (static_cast<fx::Acc>(b_data[o].raw()) << Q3_4::frac_bits) + acc32;
-        out_data[o] = apply_activation(Q3_4::from_accumulator(acc), activation);
-    }
 }
 
 void qdense_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
                   Activation activation, QTensor& out, std::vector<fx::Acc>& accs) {
     validate_dense(input, weight, bias);
-    const std::size_t out_n = weight.shape().dim(0);
-    const std::size_t in_n = weight.shape().dim(1);
-    out = QTensor(Shape{out_n});
-
-    if (gemm::enabled()) {
-        gemm::dense_accs(input, weight, bias, accs);
-        gemm::write_back(accs.data(), accs.size(), activation, out);
-        return;
-    }
-
-    accs.resize(out_n);
-    const Q3_4* in_data = input.data();
-    const Q3_4* w_data = weight.data();
-    const Q3_4* b_data = bias.data();
-    Q3_4* out_data = out.data();
-
-    for (std::size_t o = 0; o < out_n; ++o) {
-        std::int32_t acc32 = 0;
-        const Q3_4* w_row = w_data + o * in_n;
-        for (std::size_t i = 0; i < in_n; ++i) {
-            acc32 += static_cast<std::int32_t>(in_data[i].raw()) * w_row[i].raw();
-        }
-        const fx::Acc acc =
-            (static_cast<fx::Acc>(b_data[o].raw()) << Q3_4::frac_bits) + acc32;
-        accs[o] = acc;
-        out_data[o] = apply_activation(Q3_4::from_accumulator(acc), activation);
-    }
+    out = QTensor(Shape{weight.shape().dim(0)});
+    gemm::dense_accs(input, weight, bias, accs);
+    gemm::write_back(accs.data(), accs.size(), activation, out);
 }
 
 } // namespace deepstrike::quant

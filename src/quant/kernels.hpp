@@ -13,14 +13,13 @@
 //   activation:            tanh via BRAM-style LUT on the Q3.4 grid,
 //                          relu as a sign mux, sign as a comparator
 //
-// These scalar kernels are the byte-exactness oracle. When quant::gemm is
-// enabled (the default), the full-layer entry points (qconv2d / qdense and
-// their trace variants) route through the im2col/GEMM fast path
-// (quant/gemm.hpp) — byte-identical by the exact-integer-accumulation
-// argument documented there; GemmMode::Off restores the loops below
-// end to end.
+// The full-layer conv/dense entry points (qconv2d / qdense and their trace
+// variants) run on the im2col/GEMM engine (quant/gemm.hpp). The per-element
+// scalar loops they must match byte for byte live in the tests-only oracle
+// library (tests/oracle), which the equivalence suites compare against.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "fx/fixed.hpp"
@@ -38,21 +37,14 @@ QTensor quantize_image(const FloatTensor& image);
 /// declared there; forward declaration here to avoid a cycle).
 enum class Activation : std::uint8_t;
 
+/// The writeback nonlinearity: identity, the tanh LUT, relu or sign. The
+/// one definition every kernel, the accelerator's fault path and the
+/// oracle share.
+fx::Q3_4 apply_activation(fx::Q3_4 v, Activation activation);
+
 /// Valid 2D convolution + bias + fused activation. Input [C,H,W].
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 Activation activation);
-/// Back-compat: bool selects tanh.
-QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                bool apply_tanh);
-
-/// Range kernel behind qconv2d: computes output elements [elem_begin,
-/// elem_end) in row-major (oc, r, c) order into a preallocated `out`,
-/// leaving the rest untouched. The accelerator's interval-gated fast path
-/// uses it to fill the safe gaps between fault windows; accumulation order
-/// is identical to qconv2d, so the bytes match the full kernel exactly.
-void qconv2d_outputs(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                     Activation activation, std::size_t elem_begin,
-                     std::size_t elem_end, QTensor& out);
 
 /// 2x2/stride-2 max pooling.
 QTensor qmaxpool2(const QTensor& input);
@@ -71,15 +63,6 @@ fx::Q3_4 qsign(fx::Q3_4 x);
 /// Dense layer + bias + fused activation. Input flattened.
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                Activation activation);
-/// Back-compat: bool selects tanh.
-QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
-               bool apply_tanh);
-
-/// Range kernel behind qdense: computes output elements [elem_begin,
-/// elem_end) into a preallocated `out` (see qconv2d_outputs).
-void qdense_outputs(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                    Activation activation, std::size_t elem_begin,
-                    std::size_t elem_end, QTensor& out);
 
 /// Trace variant of qconv2d: same output bytes, but also exposes every
 /// element's pre-writeback accumulator (bias folded, in product units —
@@ -97,21 +80,17 @@ void qdense_trace(const QTensor& input, const QTensor& weight, const QTensor& bi
 
 namespace detail {
 
-/// Unchecked range kernels behind qconv2d_outputs / qdense_outputs: same
-/// bytes, but shape/range validation is the caller's responsibility
-/// (assert() in debug builds only). The public wrappers validate and
-/// forward; hot loops that already validated once per network/batch —
-/// the accelerator's gap fills and the sparse conv patcher, which calls
-/// per single output element — use these directly so `expects` stays out
-/// of the per-element path.
+/// Per-element conv range kernel: computes output elements [elem_begin,
+/// elem_end) in row-major (oc, r, c) order into a preallocated `out`,
+/// leaving the rest untouched; byte-identical to qconv2d on those
+/// elements. Shape/range validation is the caller's responsibility
+/// (assert() in debug builds only): the sparse conv patcher of the
+/// golden-elided engine path calls it per single output element, on
+/// shapes validated once when the golden trace was built.
 void qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
                                const QTensor& bias, Activation activation,
                                std::size_t elem_begin, std::size_t elem_end,
                                QTensor& out);
-void qdense_outputs_unchecked(const QTensor& input, const QTensor& weight,
-                              const QTensor& bias, Activation activation,
-                              std::size_t elem_begin, std::size_t elem_end,
-                              QTensor& out);
 
 } // namespace detail
 

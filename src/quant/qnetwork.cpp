@@ -144,38 +144,6 @@ QTensor QNetwork::forward_from(std::size_t first_layer, const QTensor& activatio
     return x;
 }
 
-std::vector<QTensor> QNetwork::forward_activations(const QTensor& input) const {
-    expects(input.shape() == input_shape, "QNetwork: input shape mismatch");
-    std::vector<QTensor> activations;
-    activations.reserve(layers.size());
-    QTensor x = input;
-    for (const QLayer& layer : layers) {
-        if (layer.kind == QLayerKind::Dense && x.shape().rank() != 1) {
-            QTensor flat(Shape{x.size()});
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                flat.at_unchecked(i) = x.at_unchecked(i);
-            }
-            x = std::move(flat);
-        }
-        switch (layer.kind) {
-            case QLayerKind::Conv:
-                x = qconv2d(x, layer.weight, layer.bias, layer.activation);
-                break;
-            case QLayerKind::Pool2:
-                x = qmaxpool2(x);
-                break;
-            case QLayerKind::AvgPool2:
-                x = qavgpool2(x);
-                break;
-            case QLayerKind::Dense:
-                x = qdense(x, layer.weight, layer.bias, layer.activation);
-                break;
-        }
-        activations.push_back(x);
-    }
-    return activations;
-}
-
 QNetwork::ForwardTrace QNetwork::forward_trace(const QTensor& input) const {
     expects(input.shape() == input_shape, "QNetwork: input shape mismatch");
     ForwardTrace trace;
@@ -234,12 +202,6 @@ std::vector<QTensor> QNetwork::forward_batch(
         expects(in->shape() == input_shape,
                 "QNetwork::forward_batch: input shape mismatch");
     }
-    if (!gemm::enabled()) {
-        std::vector<QTensor> out;
-        out.reserve(nb);
-        for (const QTensor* in : inputs) out.push_back(forward(*in));
-        return out;
-    }
     count_batch_images(nb);
 
     // The batched GEMM entries consume flat contiguous data, so the
@@ -291,12 +253,6 @@ std::vector<QNetwork::ForwardTrace> QNetwork::forward_trace_batch(
     for (const QTensor* in : inputs) {
         expects(in->shape() == input_shape,
                 "QNetwork::forward_trace_batch: input shape mismatch");
-    }
-    if (!gemm::enabled()) {
-        std::vector<ForwardTrace> out;
-        out.reserve(nb);
-        for (const QTensor* in : inputs) out.push_back(forward_trace(*in));
-        return out;
     }
     count_batch_images(nb);
 

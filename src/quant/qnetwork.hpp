@@ -95,15 +95,12 @@ struct QNetwork {
     QTensor forward_from(std::size_t first_layer, const QTensor& activation) const;
 
     /// Per-layer outputs of one golden forward pass, indexed like `layers`
-    /// (entry i is layer i's post-activation output; the last entry equals
-    /// forward()'s result). Runs the exact kernels forward() runs, so each
-    /// entry is byte-identical to the accelerator's fault-free output of
-    /// the same layer — the property sim::GoldenCache builds on.
-    std::vector<QTensor> forward_activations(const QTensor& input) const;
-
-    /// forward_activations() plus every Conv/Dense layer's pre-writeback
-    /// accumulators (bias folded, product units; empty vectors for pools).
-    /// `activations` is byte-identical to forward_activations(); the
+    /// (activations[i] is layer i's post-activation output; the last entry
+    /// equals forward()'s result), plus every Conv/Dense layer's
+    /// pre-writeback accumulators (bias folded, product units; empty
+    /// vectors for pools). It runs the kernels forward() runs, so each
+    /// activation is byte-identical to the accelerator's fault-free output
+    /// of the same layer — the property sim::GoldenCache builds on. The
     /// accumulators satisfy
     ///   activations[i][p] == apply_activation(Q3_4::from_accumulator(
     ///                            accumulators[i][p]), layers[i].activation)
@@ -117,11 +114,9 @@ struct QNetwork {
     ForwardTrace forward_trace(const QTensor& input) const;
 
     /// Batched golden forward over an image block (every input shaped
-    /// input_shape). With quant::gemm enabled, each Conv/Dense layer runs
-    /// as a single GEMM over the whole block, so the weights stream once
-    /// per block instead of once per image; with GemmMode::Off it
-    /// degenerates to a per-image forward() loop. Either way entry b is
-    /// byte-identical to forward(*inputs[b]).
+    /// input_shape). Each Conv/Dense layer runs as a single GEMM over the
+    /// whole block, so the weights stream once per block instead of once
+    /// per image; entry b is byte-identical to forward(*inputs[b]).
     std::vector<QTensor> forward_batch(
         const std::vector<const QTensor*>& inputs) const;
 

@@ -419,6 +419,13 @@ void Coordinator::Impl::handle_message(Conn& conn, const Json& message) {
     if (conn.role == Conn::Role::Pending && type != "hello") {
         throw FormatError("first message must be hello, got '" + type + "'");
     }
+    // A role is fixed by the first hello. A repeated one would let a worker
+    // holding a record turn into a client, which drop_conn never requeues
+    // for, and would count the same worker twice; the caller drops the
+    // connection instead, requeueing any record it held.
+    if (conn.role != Conn::Role::Pending && type == "hello") {
+        throw FormatError("duplicate hello on an established connection");
+    }
     if (type == "hello") {
         handle_hello(conn, message);
     } else if (type == "submit") {

@@ -9,7 +9,7 @@
 // lockstep over the shared activity schedule, with the second-order PDN
 // state (v, i_l) held in 32-byte-aligned SoA arrays and advanced four
 // lanes per AVX2 slot behind the simd::mode() dispatch seam
-// (DS_FORCE_SCALAR / --simd; portable scalar twin everywhere else).
+// (DS_FORCE_SCALAR=1 selects the portable scalar twin).
 //
 // Byte-identity contract: a lane's CosimResult is bit-identical to
 // simulate_inference() on the same source, in either twin. The kernels

@@ -141,11 +141,11 @@ accel::RunResult Platform::infer(const QTensor& image, const accel::VoltageTrace
 
 accel::RunResult Platform::infer_elided(
     const QTensor& image, const std::vector<QTensor>& golden_layers,
+    const std::vector<std::vector<fx::Acc>>& golden_accs,
     const accel::VoltageTrace* voltage, Rng& fault_rng,
-    const accel::OverlayPlan& plan, const std::vector<bool>* throttle,
-    const std::vector<std::vector<fx::Acc>>* golden_accs) const {
-    return engine_.run_elided(image, golden_layers, voltage, fault_rng, plan, throttle,
-                              golden_accs);
+    const accel::OverlayPlan& plan, const std::vector<bool>* throttle) const {
+    return engine_.run_elided(image, golden_layers, golden_accs, voltage, fault_rng,
+                              plan, throttle);
 }
 
 } // namespace deepstrike::sim

@@ -155,14 +155,15 @@ public:
 
     /// Golden-elided inference (AccelEngine::run_elided): byte-identical to
     /// infer() but reuses the image's cached golden per-layer activations
-    /// (sim::GoldenCache) to skip still-golden safe layers and recompute
-    /// only window-touched element ranges. The plan is required — elision
-    /// is driven by its unsafe windows.
+    /// and accumulators (sim::GoldenCache) to skip still-golden safe layers
+    /// and recompute only window-touched element ranges. The plan is
+    /// required — elision is driven by its unsafe windows.
     accel::RunResult infer_elided(
         const QTensor& image, const std::vector<QTensor>& golden_layers,
+        const std::vector<std::vector<fx::Acc>>& golden_accs,
         const accel::VoltageTrace* voltage, Rng& fault_rng,
-        const accel::OverlayPlan& plan, const std::vector<bool>* throttle = nullptr,
-        const std::vector<std::vector<fx::Acc>>* golden_accs = nullptr) const;
+        const accel::OverlayPlan& plan,
+        const std::vector<bool>* throttle = nullptr) const;
 
     /// Idle current (platform + accelerator static) used for PDN settling.
     double idle_current_a() const;

@@ -116,8 +116,8 @@ TEST_P(CosimLanesCampaign, ReportBytesInvariantAcrossLanesThreadsAndTwin) {
               sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
         << "remainder lane groups diverged for " << name;
 
-    // Portable scalar twin of every lane kernel (the DS_FORCE_SCALAR /
-    // --simd scalar configuration).
+    // Portable scalar twin of every lane kernel (the DS_FORCE_SCALAR=1
+    // configuration).
     sim::set_cosim_lane_width(8);
     simd::set_mode(simd::Mode::Scalar);
     EXPECT_EQ(bytes,

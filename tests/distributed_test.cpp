@@ -4,11 +4,17 @@
 // factory standing in for the CLI's trained zoo victims.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+
+#include "net/frame.hpp"
+#include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "sim/campaign.hpp"
 #include "sim/coordinator.hpp"
 #include "sim/dist_client.hpp"
@@ -61,7 +67,7 @@ struct CoordinatorHarness {
     }
 
     ~CoordinatorHarness() {
-        coordinator->stop();
+        if (coordinator) coordinator->stop();
         join();
     }
 
@@ -187,6 +193,85 @@ TEST(Distributed, LostWorkerRecordIsReassigned) {
     EXPECT_EQ(stats.workers_seen, 2u);
 
     // The report is still byte-identical to the uninterrupted run.
+    const CampaignReport expected = reference_report(61, small_manifest());
+    EXPECT_EQ(outcome.report.dump(2), expected.to_json().dump(2));
+    EXPECT_EQ(outcome.markdown, expected.to_markdown());
+}
+
+/// Next frame from the coordinator, expected to be of `type`. The
+/// coordinator only speaks when spoken to or when it assigns work, so a
+/// lone raw peer sees frames in protocol order.
+Json expect_frame(net::Socket& socket, net::FrameDecoder& decoder,
+                  const std::string& type) {
+    std::optional<Json> message = net::recv_message(socket, decoder);
+    if (!message.has_value()) throw IoError("coordinator closed the connection");
+    EXPECT_EQ(net::message_type(*message), type);
+    return *message;
+}
+
+TEST(Distributed, DuplicateHelloFromWorkerRequeuesItsRecord) {
+    CoordinatorHarness harness(1);
+    ServiceClient client("127.0.0.1", harness.port());
+    const std::uint64_t id = client.submit(small_manifest());
+
+    // A raw-socket worker takes a record, then re-sends hello as a client
+    // and hangs up. The coordinator must refuse the second hello and
+    // requeue the record, or the campaign never completes.
+    {
+        net::Socket socket = net::Socket::connect_tcp("127.0.0.1", harness.port());
+        net::FrameDecoder decoder;
+        Json hello = net::make_message("hello");
+        hello.set("protocol", net::kProtocolVersion);
+        hello.set("role", "worker");
+        net::send_message(socket, hello);
+        expect_frame(socket, decoder, "welcome");
+        const Json announce = expect_frame(socket, decoder, "campaign");
+        ASSERT_EQ(announce.at("campaign").as_uint(), id);
+
+        Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(61));
+        const data::Dataset test = data::make_datasets(9, 1, 30).test;
+        const CampaignPlan plan = plan_campaign(
+            platform, test, campaign_config_from_manifest(announce.at("manifest")));
+        Json plan_message = net::make_message("plan");
+        plan_message.set("campaign", id);
+        plan_message.set("info", plan_info(plan).to_json());
+        net::send_message(socket, plan_message);
+        expect_frame(socket, decoder, "work");
+
+        Json again = net::make_message("hello");
+        again.set("protocol", net::kProtocolVersion);
+        again.set("role", "client");
+        net::send_message(socket, again);
+        socket.close();
+    }
+
+    int rc = -1;
+    std::thread worker([&] {
+        rc = run_worker(worker_config(harness.port()), factory_for(61));
+    });
+    std::future<CampaignOutcome> tail =
+        std::async(std::launch::async, [&] { return client.tail(id); });
+    if (tail.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+        // The held record was never requeued. Stopping and destroying the
+        // coordinator closes every connection, which unblocks the client
+        // and the worker before the test reports the hang.
+        harness.coordinator->stop();
+        harness.join();
+        harness.coordinator.reset();
+        worker.join();
+        tail.wait();
+        FAIL() << "campaign never completed after a duplicate hello";
+    }
+    const CampaignOutcome outcome = tail.get();
+    worker.join();
+    harness.join();
+
+    ASSERT_FALSE(outcome.failed);
+    EXPECT_EQ(rc, 0);
+    const Coordinator::Stats& stats = harness.coordinator->stats();
+    EXPECT_EQ(stats.points_reassigned, 1u);
+    EXPECT_EQ(stats.workers_seen, 2u);
+
     const CampaignReport expected = reference_report(61, small_manifest());
     EXPECT_EQ(outcome.report.dump(2), expected.to_json().dump(2));
     EXPECT_EQ(outcome.markdown, expected.to_markdown());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "accel/engine.hpp"
+#include "oracle/oracle.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
 #include "test_helpers.hpp"
@@ -92,23 +93,26 @@ std::uint64_t bits_of(double value) {
 TEST(ForwardActivations, LastEntryEqualsForward) {
     const quant::QNetwork network = random_qnetwork(5);
     const QTensor img = random_qimage(77);
-    const std::vector<QTensor> acts = network.forward_activations(img);
+    const std::vector<QTensor> acts = network.forward_trace(img).activations;
     ASSERT_EQ(acts.size(), network.layers.size());
     const QTensor direct = network.forward(img);
     ASSERT_TRUE(acts.back() == direct);
 }
 
-// forward_trace must reproduce forward_activations byte-for-byte and fill
-// accumulator arrays for exactly the parameterized (Conv/Dense) layers.
+// forward_trace must reproduce the oracle's per-layer activations and
+// accumulators byte-for-byte, with accumulator arrays for exactly the
+// parameterized (Conv/Dense) layers.
 TEST(ForwardTrace, MatchesActivationsWithAccumulatorsForParamLayers) {
     const quant::QNetwork network = random_qnetwork(5);
     const QTensor img = random_qimage(77);
     const quant::QNetwork::ForwardTrace trace = network.forward_trace(img);
-    const std::vector<QTensor> acts = network.forward_activations(img);
+    const quant::QNetwork::ForwardTrace want = oracle::forward_trace(network, img);
+    const std::vector<QTensor>& acts = want.activations;
     ASSERT_EQ(trace.activations.size(), acts.size());
     ASSERT_EQ(trace.accumulators.size(), acts.size());
     for (std::size_t l = 0; l < acts.size(); ++l) {
         ASSERT_TRUE(trace.activations[l] == acts[l]) << "layer " << l;
+        EXPECT_EQ(trace.accumulators[l], want.accumulators[l]) << "layer " << l;
         const bool param = network.layers[l].kind == quant::QLayerKind::Conv ||
                            network.layers[l].kind == quant::QLayerKind::Dense;
         EXPECT_EQ(trace.accumulators[l].size(), param ? acts[l].size() : 0u)
@@ -187,11 +191,13 @@ TEST(RunElided, NominalTraceReusesEveryLayerAndDrawsNoRandomness) {
     const accel::VoltageTrace trace = nominal_trace(engine);
     const accel::OverlayPlan plan = engine.plan_overlay(&trace);
     const QTensor img = random_qimage(42);
-    const std::vector<QTensor> golden = engine.network().forward_activations(img);
+    const quant::QNetwork::ForwardTrace fwd = engine.network().forward_trace(img);
+    const std::vector<QTensor>& golden = fwd.activations;
 
     Rng rng(7);
     const auto before = rng.state();
-    const accel::RunResult run = engine.run_elided(img, golden, &trace, rng, plan);
+    const accel::RunResult run =
+        engine.run_elided(img, golden, fwd.accumulators, &trace, rng, plan);
     EXPECT_EQ(run.golden_layers_reused, engine.network().layers.size());
     EXPECT_EQ(run.faults_total.total(), 0u);
     ASSERT_TRUE(run.logits == golden.back());
@@ -209,21 +215,14 @@ TEST(RunElided, MatchesRunOnRandomTracesIncludingRngStream) {
         const QTensor img = random_qimage(300 + trial);
         const quant::QNetwork::ForwardTrace fwd =
             engine.network().forward_trace(img);
-        const std::vector<QTensor>& golden = fwd.activations;
         Rng rng_elided(42 + trial);
-        Rng rng_accs(42 + trial);
         Rng rng_ref(42 + trial);
-        const accel::RunResult elided =
-            engine.run_elided(img, golden, &trace, rng_elided, plan);
-        // Accumulator-seeded variant (what the eval path actually runs):
-        // cached window accumulators + sparse downstream patching.
-        const accel::RunResult elided_accs = engine.run_elided(
-            img, golden, &trace, rng_accs, plan, nullptr, &fwd.accumulators);
+        // Cached window accumulators + sparse downstream patching.
+        const accel::RunResult elided = engine.run_elided(
+            img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan);
         const accel::RunResult ref = engine.run(img, &trace, rng_ref, nullptr, &plan);
         expect_identical(elided, ref);
-        expect_identical(elided_accs, ref);
         EXPECT_EQ(rng_elided.state(), rng_ref.state()) << "trial " << trial;
-        EXPECT_EQ(rng_accs.state(), rng_ref.state()) << "trial " << trial;
         any_fault = any_fault || ref.faults_total.total() > 0;
     }
     // The equivalence must not be vacuous.
@@ -244,20 +243,15 @@ TEST(RunElided, MatchesRunWithThrottleMask) {
         const QTensor img = random_qimage(700 + trial);
         const quant::QNetwork::ForwardTrace fwd =
             engine.network().forward_trace(img);
-        const std::vector<QTensor>& golden = fwd.activations;
         Rng rng_elided(3 + trial);
-        Rng rng_accs(3 + trial);
         Rng rng_ref(3 + trial);
         const accel::RunResult elided =
-            engine.run_elided(img, golden, &trace, rng_elided, plan, &throttle);
-        const accel::RunResult elided_accs = engine.run_elided(
-            img, golden, &trace, rng_accs, plan, &throttle, &fwd.accumulators);
+            engine.run_elided(img, fwd.activations, fwd.accumulators, &trace,
+                              rng_elided, plan, &throttle);
         const accel::RunResult ref =
             engine.run(img, &trace, rng_ref, &throttle, &plan);
         expect_identical(elided, ref);
-        expect_identical(elided_accs, ref);
         EXPECT_EQ(rng_elided.state(), rng_ref.state());
-        EXPECT_EQ(rng_accs.state(), rng_ref.state());
     }
 }
 

@@ -1,25 +1,84 @@
-// Retained whole-segment per-op implementation of the accelerator fault
-// model. This is the original (pre-overlay) execution path, kept verbatim:
-// it gates golden-vs-per-op per schedule segment and walks every op of a
-// glitched segment. It serves as the equivalence oracle for the
-// interval-gated fast path in engine.cpp (tests/overlay_test.cpp asserts
-// byte-identical results) and as the before/after benchmark reference.
-#include "accel/engine.hpp"
+// Whole-segment per-op implementation of the accelerator fault model: the
+// original (pre-overlay) execution path. It gates golden-vs-per-op per
+// schedule segment and walks every op of a glitched segment, carrying each
+// DSP's output register in a pipeline array. It is the equivalence oracle
+// of the interval-gated fault walk in src/accel/engine.cpp
+// (tests/overlay_test.cpp asserts byte-identical results).
+#include <algorithm>
 
 #include "accel/engine_detail.hpp"
+#include "oracle/oracle.hpp"
+#include "quant/kernels.hpp"
 #include "util/error.hpp"
 
-namespace deepstrike::accel {
+namespace deepstrike::oracle {
 
+using accel::AccelEngine;
+using accel::DspSlice;
+using accel::FaultCounts;
+using accel::FaultKind;
+using accel::LayerSegment;
+using accel::RunResult;
+using accel::VoltageTrace;
+using accel::detail::throttled;
 using fx::Q3_4;
 
-QTensor AccelEngine::run_conv_reference(const QTensor& input, const quant::QLayer& layer,
-                                        const LayerSegment& seg,
-                                        const VoltageTrace* voltage, Rng& rng,
-                                        const std::vector<bool>* throttle,
-                                        FaultCounts& counts) const {
-    if (!segment_under_voltage(seg, voltage, conv_safe_v_)) {
-        return quant::qconv2d(input, layer.weight, layer.bias, layer.activation);
+namespace {
+
+/// Voltage at the capture edge of DDR half `half` in `cycle` (two halves
+/// per cycle); nominal when the trace does not cover the cycle.
+double capture_voltage(const std::vector<double>* voltage, std::size_t cycle,
+                       std::size_t half, double vdd) {
+    const std::size_t idx = cycle * 2 + half;
+    if (voltage == nullptr || idx >= voltage->size()) return vdd;
+    return (*voltage)[idx];
+}
+
+/// Per-DSP pipeline state for duplication faults: the last product captured
+/// on each physical slice (in op-stream order).
+struct DspPipeline {
+    std::vector<fx::Acc> last_product;
+
+    explicit DspPipeline(std::size_t n_dsps) : last_product(n_dsps, 0) {}
+};
+
+/// Evaluates one op, optionally with triple-modular-redundancy voting:
+/// under TMR an op only faults when at least two of three independent
+/// evaluations fault, and the surviving fault kind is the majority kind.
+FaultKind evaluate_op(const DspSlice& slice, double v, const pdn::DelayModel& delay,
+                      Rng& rng, double path_scale, bool tmr) {
+    if (!tmr) return slice.evaluate(v, delay, rng, path_scale);
+    int dup = 0;
+    int rnd = 0;
+    for (int r = 0; r < 3; ++r) {
+        switch (slice.evaluate(v, delay, rng, path_scale)) {
+            case FaultKind::Duplication: ++dup; break;
+            case FaultKind::Random: ++rnd; break;
+            case FaultKind::None: break;
+        }
+    }
+    if (dup + rnd < 2) return FaultKind::None;
+    return dup >= rnd ? FaultKind::Duplication : FaultKind::Random;
+}
+
+/// True when any capture sample of the segment dips below `safe_v`.
+bool segment_under_voltage(const LayerSegment& seg, const VoltageTrace* voltage,
+                           double safe_v) {
+    if (voltage == nullptr) return false;
+    const std::size_t end = std::min(seg.end_cycle() * 2, voltage->size());
+    for (std::size_t i = seg.start_cycle * 2; i < end; ++i) {
+        if ((*voltage)[i] < safe_v) return true;
+    }
+    return false;
+}
+
+QTensor run_conv_reference(const AccelEngine& engine, const QTensor& input,
+                           const quant::QLayer& layer, const LayerSegment& seg,
+                           const VoltageTrace* voltage, Rng& rng,
+                           const std::vector<bool>* throttle, FaultCounts& counts) {
+    const double safe_v = engine.conv_safe_voltage();
+    if (!segment_under_voltage(seg, voltage, safe_v)) {
+        return oracle::qconv2d(input, layer.weight, layer.bias, layer.activation);
     }
 
     const QTensor& w = layer.weight;
@@ -30,10 +89,11 @@ QTensor AccelEngine::run_conv_reference(const QTensor& input, const quant::QLaye
     const std::size_t out_h = input.shape().dim(1) - k + 1;
     const std::size_t out_w = input.shape().dim(2) - k + 1;
     const std::size_t mpc = seg.ops_per_cycle;
-    const double path_scale = config_.path_derate(layer);
+    const double path_scale = engine.config().path_derate(layer);
+    const pdn::DelayModel& delay = engine.delay_model();
 
     QTensor out(Shape{out_c, out_h, out_w});
-    detail::DspPipeline pipe(config_.conv_dsp_count);
+    DspPipeline pipe(engine.config().conv_dsp_count);
 
     std::size_t g = 0; // global op index within the segment
     for (std::size_t oc = 0; oc < out_c; ++oc) {
@@ -51,12 +111,12 @@ QTensor AccelEngine::run_conv_reference(const QTensor& input, const quant::QLaye
                                 w.at(oc, ic, kr, kc));
 
                             fx::Acc contrib = true_p;
-                            const double v = detail::capture_voltage(voltage, cycle,
-                                                                     half, delay_.vdd);
-                            if (v < conv_safe_v_ && !detail::throttled(throttle, cycle)) {
-                                switch (detail::evaluate_op(conv_dsps_[dsp], v, delay_,
-                                                            rng, path_scale,
-                                                            config_.tmr_protection)) {
+                            const double v =
+                                capture_voltage(voltage, cycle, half, delay.vdd);
+                            if (v < safe_v && !throttled(throttle, cycle)) {
+                                switch (evaluate_op(engine.conv_dsps()[dsp], v, delay,
+                                                    rng, path_scale,
+                                                    engine.config().tmr_protection)) {
                                     case FaultKind::None:
                                         break;
                                     case FaultKind::Duplication:
@@ -75,21 +135,21 @@ QTensor AccelEngine::run_conv_reference(const QTensor& input, const quant::QLaye
                         }
                     }
                 }
-                out.at(oc, r, c) = detail::apply_activation(Q3_4::from_accumulator(acc),
-                                                            layer.activation);
+                out.at(oc, r, c) = quant::apply_activation(Q3_4::from_accumulator(acc),
+                                                           layer.activation);
             }
         }
     }
     return out;
 }
 
-QTensor AccelEngine::run_fc_reference(const QTensor& input, const quant::QLayer& layer,
-                                      const LayerSegment& seg,
-                                      const VoltageTrace* voltage, Rng& rng,
-                                      const std::vector<bool>* throttle,
-                                      FaultCounts& counts) const {
-    if (!segment_under_voltage(seg, voltage, fc_safe_v_)) {
-        return quant::qdense(input, layer.weight, layer.bias, layer.activation);
+QTensor run_fc_reference(const AccelEngine& engine, const QTensor& input,
+                         const quant::QLayer& layer, const LayerSegment& seg,
+                         const VoltageTrace* voltage, Rng& rng,
+                         const std::vector<bool>* throttle, FaultCounts& counts) {
+    const double safe_v = engine.fc_safe_voltage();
+    if (!segment_under_voltage(seg, voltage, safe_v)) {
+        return oracle::qdense(input, layer.weight, layer.bias, layer.activation);
     }
 
     const QTensor& w = layer.weight;
@@ -97,9 +157,10 @@ QTensor AccelEngine::run_fc_reference(const QTensor& input, const quant::QLayer&
     const std::size_t out_n = w.shape().dim(0);
     const std::size_t in_n = w.shape().dim(1);
     const std::size_t mpc = seg.ops_per_cycle;
+    const pdn::DelayModel& delay = engine.delay_model();
 
     QTensor out(Shape{out_n});
-    detail::DspPipeline pipe(config_.fc_dsp_count);
+    DspPipeline pipe(engine.config().fc_dsp_count);
 
     std::size_t g = 0;
     for (std::size_t o = 0; o < out_n; ++o) {
@@ -112,10 +173,10 @@ QTensor AccelEngine::run_fc_reference(const QTensor& input, const quant::QLayer&
                 input.at_unchecked(i), Q3_4::zero(), w.at_unchecked(o * in_n + i));
 
             fx::Acc contrib = true_p;
-            const double v = detail::capture_voltage(voltage, cycle, half, delay_.vdd);
-            if (v < fc_safe_v_ && !detail::throttled(throttle, cycle)) {
-                switch (detail::evaluate_op(fc_dsps_[dsp], v, delay_, rng, 1.0,
-                                            config_.tmr_protection)) {
+            const double v = capture_voltage(voltage, cycle, half, delay.vdd);
+            if (v < safe_v && !throttled(throttle, cycle)) {
+                switch (evaluate_op(engine.fc_dsps()[dsp], v, delay, rng, 1.0,
+                                    engine.config().tmr_protection)) {
                     case FaultKind::None:
                         break;
                     case FaultKind::Duplication:
@@ -133,21 +194,22 @@ QTensor AccelEngine::run_fc_reference(const QTensor& input, const quant::QLayer&
             ++g;
         }
         out.at(o) =
-            detail::apply_activation(Q3_4::from_accumulator(acc), layer.activation);
+            quant::apply_activation(Q3_4::from_accumulator(acc), layer.activation);
     }
     return out;
 }
 
-QTensor AccelEngine::run_pool_reference(const QTensor& input, const quant::QLayer& layer,
-                                        const LayerSegment& seg,
-                                        const VoltageTrace* voltage, Rng& rng,
-                                        const std::vector<bool>* throttle,
-                                        FaultCounts& counts) const {
+QTensor run_pool_reference(const AccelEngine& engine, const QTensor& input,
+                           const quant::QLayer& layer, const LayerSegment& seg,
+                           const VoltageTrace* voltage, Rng& rng,
+                           const std::vector<bool>* throttle, FaultCounts& counts) {
     const bool average = layer.kind == quant::QLayerKind::AvgPool2;
-    if (!segment_under_voltage(seg, voltage, pool_safe_v_)) {
+    const double safe_v = engine.pool_safe_voltage();
+    if (!segment_under_voltage(seg, voltage, safe_v)) {
         return average ? quant::qavgpool2(input) : quant::qmaxpool2(input);
     }
 
+    const pdn::DelayModel& delay = engine.delay_model();
     const std::size_t ch = input.shape().dim(0);
     const std::size_t oh = input.shape().dim(1) / 2;
     const std::size_t ow = input.shape().dim(2) / 2;
@@ -167,10 +229,9 @@ QTensor AccelEngine::run_pool_reference(const QTensor& input, const quant::QLaye
                     const std::size_t cycle = seg.start_cycle + g / opc;
                     // Pool comparators are registered on the fabric clock:
                     // one capture at end of cycle (second half sample).
-                    const double v =
-                        detail::capture_voltage(voltage, cycle, 1, delay_.vdd);
-                    if (v < pool_safe_v_ && !detail::throttled(throttle, cycle) &&
-                        pool_logic_.evaluate(v, delay_, rng) != FaultKind::None) {
+                    const double v = capture_voltage(voltage, cycle, 1, delay.vdd);
+                    if (v < safe_v && !throttled(throttle, cycle) &&
+                        engine.pool_logic().evaluate(v, delay, rng) != FaultKind::None) {
                         faulted = true;
                         ++counts.random;
                     }
@@ -196,20 +257,22 @@ QTensor AccelEngine::run_pool_reference(const QTensor& input, const quant::QLaye
     return out;
 }
 
-RunResult AccelEngine::run_reference(const QTensor& image, const VoltageTrace* voltage,
-                                     Rng& fault_rng,
-                                     const std::vector<bool>* throttle) const {
-    expects(image.shape() == network_.input_shape,
-            "AccelEngine::run_reference: input shape");
+} // namespace
+
+RunResult run_reference(const AccelEngine& engine, const QTensor& image,
+                        const VoltageTrace* voltage, Rng& fault_rng,
+                        const std::vector<bool>* throttle) {
+    const quant::QNetwork& network = engine.network();
+    expects(image.shape() == network.input_shape, "oracle::run_reference: input shape");
 
     RunResult result;
-    result.faults_by_layer.reserve(network_.layers.size());
-    result.layer_index.reserve(network_.layers.size());
+    result.faults_by_layer.reserve(network.layers.size());
+    result.layer_index.reserve(network.layers.size());
 
     QTensor x = image;
-    for (std::size_t i = 0; i < network_.layers.size(); ++i) {
-        const quant::QLayer& layer = network_.layers[i];
-        const LayerSegment& seg = schedule_.segment_for_layer(i);
+    for (std::size_t i = 0; i < network.layers.size(); ++i) {
+        const quant::QLayer& layer = network.layers[i];
+        const LayerSegment& seg = engine.schedule().segment_for_layer(i);
 
         if (layer.kind == quant::QLayerKind::Dense && x.shape().rank() != 1) {
             QTensor flat(Shape{x.size()});
@@ -222,17 +285,17 @@ RunResult AccelEngine::run_reference(const QTensor& image, const VoltageTrace* v
         FaultCounts counts;
         switch (layer.kind) {
             case quant::QLayerKind::Conv:
-                x = run_conv_reference(x, layer, seg, voltage, fault_rng, throttle,
-                                       counts);
+                x = run_conv_reference(engine, x, layer, seg, voltage, fault_rng,
+                                       throttle, counts);
                 break;
             case quant::QLayerKind::Pool2:
             case quant::QLayerKind::AvgPool2:
-                x = run_pool_reference(x, layer, seg, voltage, fault_rng, throttle,
-                                       counts);
+                x = run_pool_reference(engine, x, layer, seg, voltage, fault_rng,
+                                       throttle, counts);
                 break;
             case quant::QLayerKind::Dense:
-                x = run_fc_reference(x, layer, seg, voltage, fault_rng, throttle,
-                                     counts);
+                x = run_fc_reference(engine, x, layer, seg, voltage, fault_rng,
+                                     throttle, counts);
                 break;
         }
         result.faults_total += counts;
@@ -245,4 +308,4 @@ RunResult AccelEngine::run_reference(const QTensor& image, const VoltageTrace* v
     return result;
 }
 
-} // namespace deepstrike::accel
+} // namespace deepstrike::oracle

@@ -1,7 +1,7 @@
 // Randomized-property tests for the interval-gated fault overlay: the fast
-// path (AccelEngine::run) must be byte-identical to the retained per-op
-// reference (AccelEngine::run_reference) — same logits, same prediction,
-// same fault counts — for any voltage trace, because both consume the
+// path (AccelEngine::run) must be byte-identical to the whole-segment
+// per-op reference engine (oracle::run_reference) — same logits, same
+// prediction, same fault counts — for any voltage trace, because both consume the
 // fault RNG stream identically and duplication faults see the same
 // pipeline state (seeded by index arithmetic at window entry on the fast
 // path, carried op-by-op on the reference path).
@@ -9,6 +9,7 @@
 
 #include "accel/engine.hpp"
 #include "accel/overlay.hpp"
+#include "oracle/oracle.hpp"
 #include "test_helpers.hpp"
 
 namespace deepstrike::accel {
@@ -116,7 +117,7 @@ TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
         Rng rng_fast(42 + trial);
         Rng rng_ref(42 + trial);
         const RunResult fast = engine.run(img, &trace, rng_fast);
-        const RunResult ref = engine.run_reference(img, &trace, rng_ref);
+        const RunResult ref = oracle::run_reference(engine, img, &trace, rng_ref);
         expect_identical(fast, ref);
     }
 }
@@ -131,7 +132,7 @@ TEST(Overlay, GatedRunMatchesReferenceUnderTmr) {
         Rng rng_fast(9 + trial);
         Rng rng_ref(9 + trial);
         expect_identical(engine.run(img, &trace, rng_fast),
-                         engine.run_reference(img, &trace, rng_ref));
+                         oracle::run_reference(engine, img, &trace, rng_ref));
     }
 }
 
@@ -149,7 +150,7 @@ TEST(Overlay, GatedRunMatchesReferenceWithThrottleMask) {
         Rng rng_fast(3 + trial);
         Rng rng_ref(3 + trial);
         expect_identical(engine.run(img, &trace, rng_fast, &throttle),
-                         engine.run_reference(img, &trace, rng_ref, &throttle));
+                         oracle::run_reference(engine, img, &trace, rng_ref, &throttle));
     }
 }
 
@@ -173,7 +174,7 @@ TEST(Overlay, MidSegmentWindowSeedsPipelineState) {
             Rng rng_fast(17 + trial);
             Rng rng_ref(17 + trial);
             const RunResult fast = engine.run(img, &trace, rng_fast);
-            const RunResult ref = engine.run_reference(img, &trace, rng_ref);
+            const RunResult ref = oracle::run_reference(engine, img, &trace, rng_ref);
             expect_identical(fast, ref);
             any_fault = any_fault || fast.faults_total.total() > 0;
         }
@@ -197,7 +198,7 @@ TEST(Overlay, BoundaryStraddlingWindowMatchesReference) {
         Rng rng_fast(31 + trial);
         Rng rng_ref(31 + trial);
         expect_identical(engine.run(img, &trace, rng_fast),
-                         engine.run_reference(img, &trace, rng_ref));
+                         oracle::run_reference(engine, img, &trace, rng_ref));
     }
 }
 

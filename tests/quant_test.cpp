@@ -46,7 +46,7 @@ TEST(QConv2d, MatchesFloatConvolutionWithinTolerance) {
     const QTensor weight = random_qtensor(Shape{3, 2, 3, 3}, rng, 0.5);
     const QTensor bias = random_qtensor(Shape{3}, rng, 0.25);
 
-    const QTensor out = qconv2d(input, weight, bias, /*apply_tanh=*/false);
+    const QTensor out = qconv2d(input, weight, bias, Activation::None);
     EXPECT_EQ(out.shape(), Shape({3, 4, 4}));
 
     // Float reference on the dequantized operands: the fixed-point result
@@ -77,7 +77,7 @@ TEST(QConv2d, TanhApplied) {
     const QTensor input = random_qtensor(Shape{1, 4, 4}, rng, 2.0);
     const QTensor weight = random_qtensor(Shape{1, 1, 3, 3}, rng, 1.0);
     QTensor bias(Shape{1});
-    const QTensor out = qconv2d(input, weight, bias, /*apply_tanh=*/true);
+    const QTensor out = qconv2d(input, weight, bias, Activation::Tanh);
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_LE(std::abs(out.at_unchecked(i).to_real()), 1.0);
     }
@@ -88,7 +88,7 @@ TEST(QConv2d, ValidatesShapes) {
     const QTensor input = random_qtensor(Shape{2, 6, 6}, rng);
     const QTensor weight = random_qtensor(Shape{3, 4, 3, 3}, rng); // wrong in_c
     const QTensor bias = random_qtensor(Shape{3}, rng);
-    EXPECT_THROW(qconv2d(input, weight, bias, false), ContractError);
+    EXPECT_THROW(qconv2d(input, weight, bias, Activation::None), ContractError);
 }
 
 TEST(QMaxPool2, SelectsMaximum) {
@@ -112,7 +112,7 @@ TEST(QDense, MatchesFloatWithinTolerance) {
     const QTensor input = random_qtensor(Shape{8}, rng, 1.0);
     const QTensor weight = random_qtensor(Shape{4, 8}, rng, 0.5);
     const QTensor bias = random_qtensor(Shape{4}, rng, 0.25);
-    const QTensor out = qdense(input, weight, bias, false);
+    const QTensor out = qdense(input, weight, bias, Activation::None);
     for (std::size_t o = 0; o < 4; ++o) {
         double acc = bias.at(o).to_real();
         for (std::size_t i = 0; i < 8; ++i) {
@@ -129,12 +129,12 @@ TEST(QDense, FeatureMismatchThrows) {
     const QTensor input = random_qtensor(Shape{9}, rng);
     const QTensor weight = random_qtensor(Shape{4, 8}, rng);
     const QTensor bias = random_qtensor(Shape{4}, rng);
-    EXPECT_THROW(qdense(input, weight, bias, false), ContractError);
+    EXPECT_THROW(qdense(input, weight, bias, Activation::None), ContractError);
 }
 
 TEST(QNetworkReference, ForwardShapes) {
     const QNetwork net = deepstrike::testing::random_qnetwork(8);
-    const std::vector<QTensor> acts = net.forward_activations(random_qimage(9));
+    const std::vector<QTensor> acts = net.forward_trace(random_qimage(9)).activations;
     ASSERT_EQ(acts.size(), 5u);
     EXPECT_EQ(acts[0].shape(), Shape({6, 24, 24}));
     EXPECT_EQ(acts[1].shape(), Shape({6, 12, 12}));

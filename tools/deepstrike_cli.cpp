@@ -34,7 +34,6 @@
 #include "fabric/resources.hpp"
 #include "host/scheme_file.hpp"
 #include "nn/zoo.hpp"
-#include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
 #include "sim/coordinator.hpp"
@@ -53,7 +52,6 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
-#include "util/simd.hpp"
 #include "util/trace.hpp"
 
 using namespace deepstrike;
@@ -73,35 +71,17 @@ std::size_t apply_threads_option(const ArgParser& parser) {
 }
 
 void add_engine_options(ArgParser& parser) {
-    parser.add_option("simd",
-                      "quantized kernel engine: auto (im2col/GEMM, AVX2 when "
-                      "available), scalar (GEMM without SIMD), off (reference "
-                      "kernels); scalar and off also force the co-sim lane "
-                      "kernels to their portable twins",
-                      "auto");
-    parser.add_option("batch",
-                      "images per batched golden forward block (0 disables "
-                      "batching)",
-                      std::to_string(quant::gemm::eval_batch()));
     parser.add_option("lanes",
                       "co-sim lane group width (campaign points co-simulated "
                       "in SIMD lockstep; 0 or 1 disables lane batching)",
                       std::to_string(sim::cosim_lane_width()));
 }
 
-/// Applies --simd / --batch / --lanes to the process-wide engine knobs
-/// (quant::gemm, deepstrike::simd, sim::CosimLanes). Reports are
-/// bit-identical at any setting; only wall-clock changes.
+/// Applies --lanes to the process-wide co-sim lane engine
+/// (sim::CosimLanes). Reports are bit-identical at any setting; only
+/// wall-clock changes. The SIMD twins are chosen once per process by the
+/// deepstrike::simd seam (DS_FORCE_SCALAR=1 selects the scalar twins).
 void apply_engine_options(const ArgParser& parser) {
-    const quant::gemm::GemmMode gemm_mode =
-        quant::gemm::parse_mode(parser.option("simd"));
-    quant::gemm::set_mode(gemm_mode);
-    // The co-sim seam has no Off tier (its scalar twin IS the reference
-    // formulation): both non-auto gemm modes force the portable twins.
-    simd::set_mode(gemm_mode == quant::gemm::GemmMode::Auto
-                       ? simd::Mode::Auto
-                       : simd::Mode::Scalar);
-    quant::gemm::set_eval_batch(parser.option_uint("batch"));
     sim::set_cosim_lane_width(parser.option_uint("lanes"));
 }
 
