@@ -20,6 +20,7 @@
 //   the hard threshold into the smooth S-curves of Fig. 6b.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "fx/fixed.hpp"
@@ -64,17 +65,47 @@ public:
     /// exercise the full cascade (e.g. single-channel conv1); 1.0 = full.
     FaultKind evaluate(double v, const pdn::DelayModel& delay, Rng& op_rng,
                        double path_scale = 1.0) const {
-        return evaluate_with_factor(delay.factor(v), op_rng, path_scale);
+        return evaluate_with_floor(delay.factor(v), Rng::kNoFloor, op_rng, path_scale);
     }
 
-    /// Same evaluation with the voltage-dependent delay factor supplied by
-    /// the caller. factor(v) is shared by every op captured at the same
-    /// sample, so gated hot loops compute it once per (cycle, DDR half)
-    /// instead of per op — the delay expression keeps the exact order of
-    /// evaluate(), making the two entry points bit-identical.
-    FaultKind evaluate_with_factor(double factor, Rng& op_rng,
-                                   double path_scale = 1.0) const {
-        const double jitter = op_rng.normal(0.0, params_.op_jitter_sigma);
+    /// Box–Muller u1 floor below which a jitter draw of an op at (factor,
+    /// path_scale) on this slice might fault (Rng::normal_unless_below);
+    /// Rng::kNoFloor when the op can fault even without positive jitter.
+    ///
+    /// Why skipping above it is exact. The op faults iff
+    ///   d = path_delay * path_scale * factor * (1 + sigma * z) > T,
+    /// and each IEEE multiply and add of that expression is monotone
+    /// non-decreasing in its operand, so d is monotone in z. The real-
+    /// valued threshold is t = (T / (path_delay * path_scale * factor) - 1)
+    /// / sigma; any z <= t - 1e-6 keeps d below T by ~1e-8 relative, seven
+    /// orders of magnitude above the few-ulp rounding of the expression.
+    /// A deviate skipped by the magnitude test has u1 > exp(-t^2/2) *
+    /// (1 + 1e-9), so -2 ln u1 < t^2 - 2e-9 and the computed Box–Muller
+    /// magnitude sqrt(-2 ln u1) — the bound on |z|, since |sin|, |cos| <= 1
+    /// — stays below t by ~1e-9/t, again far above the ulp-level error of
+    /// log, exp and sqrt. A deviate skipped by the sign test is <= 0 < t.
+    double jitter_floor(double factor, double path_scale = 1.0) const {
+        const double t = (params_.clock_period_s / (path_delay_s_ * path_scale * factor) -
+                          1.0) / params_.op_jitter_sigma -
+                         1e-6;
+        if (!(t > 0.0)) return Rng::kNoFloor;
+        return std::exp(-0.5 * t * t) * (1.0 + 1e-9);
+    }
+
+    /// The one op evaluation, with the voltage-dependent delay factor
+    /// supplied by the caller: factor(v) is shared by every op captured at
+    /// the same sample, so hot loops compute it once per sample voltage.
+    /// Draws the op's jitter deviate — skipping its computation when
+    /// `u1_floor` (jitter_floor() of the same factor and path_scale, or
+    /// Rng::kNoFloor) proves it cannot fault — and classifies the resulting
+    /// path delay. Every call consumes exactly the RNG draws of a plain
+    /// normal() draw, whatever the floor.
+    FaultKind evaluate_with_floor(double factor, double u1_floor, Rng& op_rng,
+                                  double path_scale = 1.0) const {
+        double z = 0.0;
+        if (!op_rng.normal_unless_below(u1_floor, z)) return FaultKind::None;
+        // Rng::normal(0, sigma)'s expression, kept for bit-identical delays.
+        const double jitter = 0.0 + params_.op_jitter_sigma * z;
         const double d = path_delay_s_ * path_scale * factor * (1.0 + jitter);
         const double period = params_.clock_period_s;
         if (d <= period) return FaultKind::None;

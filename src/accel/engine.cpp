@@ -321,13 +321,10 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
     const std::size_t mpc = seg.ops_per_cycle;
     const double path_scale = config_.path_derate(layer);
     const bool tmr = config_.tmr_protection;
-    const double vdd = delay_.vdd;
 
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = w.data();
     Q3_4* out_data = out.data();
-    const double* vs = voltage->data();
-    const std::size_t vn = voltage->size();
 
     const auto true_product_at = [&](std::size_t g) {
         const std::size_t pixel = g / opp;
@@ -374,57 +371,22 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
     const std::size_t op_end = elem_end * opp;
     std::vector<fx::Acc> accs(seed_accs + elem_begin, seed_accs + elem_end);
 
-    // Fault pass: per window, the per-cycle delay factors are shared by
-    // every op captured at the same DDR half sample (fac memo, reset at
-    // window entry and at each cycle rollover, as in the reference walk).
-    // The windows are sorted and merged, so the first one overlapping
-    // [op_begin, op_end) is found by binary search — a linear scan would
-    // make the per-hot-range calls quadratic in the window count.
-    const bool no_throttle = throttle == nullptr;
-    const CycleWindow* wend = overlay.unsafe.data() + overlay.unsafe.size();
-    const CycleWindow* wit = std::lower_bound(
-        overlay.unsafe.data(), wend, op_begin,
-        [&](const CycleWindow& cw, std::size_t ob) {
-            return (cw.end - seg.start_cycle) * mpc <= ob;
+    // Fault pass: the delay factor and jitter floors are shared by every
+    // op captured at the same DDR half sample (detail::HalfSampleWalk), and
+    // a jitter draw that provably cannot fault is consumed without being
+    // computed.
+    detail::walk_unsafe_ops(
+        overlay, seg, op_begin, op_end, *voltage, conv_dsps_, delay_, path_scale, tmr,
+        conv_safe_v_, throttle, rng, [&](std::size_t g, std::size_t pos, FaultKind kind) {
+            if (kind == FaultKind::Duplication) {
+                accs[g / opp - elem_begin] += stale_product_at(g, pos) - true_product_at(g);
+                ++counts.duplication;
+            } else {
+                accs[g / opp - elem_begin] +=
+                    DspSlice::random_fault_value(rng) - true_product_at(g);
+                ++counts.random;
+            }
         });
-    for (; wit != wend; ++wit) {
-        std::size_t lo = (wit->begin - seg.start_cycle) * mpc;
-        std::size_t hi = (wit->end - seg.start_cycle) * mpc;
-        if (lo >= op_end) break;
-        lo = std::max(lo, op_begin);
-        hi = std::min(hi, op_end);
-        std::size_t cycle = seg.start_cycle + lo / mpc;
-        std::size_t pos = lo % mpc;
-        double fac[2] = {-1.0, -1.0};
-        for (std::size_t g = lo; g < hi; ++g) {
-            const std::size_t sidx = cycle * 2 + (pos & 1);
-            const double v = sidx < vn ? vs[sidx] : vdd;
-            if (v < conv_safe_v_ && (no_throttle || !detail::throttled(throttle, cycle))) {
-                double& f = fac[pos & 1];
-                if (f < 0.0) f = delay_.factor(v);
-                switch (detail::evaluate_op_with_factor(conv_dsps_[pos >> 1], f, rng,
-                                                        path_scale, tmr)) {
-                    case FaultKind::None:
-                        break;
-                    case FaultKind::Duplication:
-                        accs[g / opp - elem_begin] +=
-                            stale_product_at(g, pos) - true_product_at(g);
-                        ++counts.duplication;
-                        break;
-                    case FaultKind::Random:
-                        accs[g / opp - elem_begin] +=
-                            DspSlice::random_fault_value(rng) - true_product_at(g);
-                        ++counts.random;
-                        break;
-                }
-            }
-            if (++pos == mpc) {
-                pos = 0;
-                ++cycle;
-                fac[0] = fac[1] = -1.0;
-            }
-        }
-    }
 
     for (std::size_t p = elem_begin; p < elem_end; ++p) {
         out_data[p] = quant::apply_activation(
@@ -477,13 +439,10 @@ void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer
     const std::size_t in_n = w.shape().dim(1);
     const std::size_t mpc = seg.ops_per_cycle;
     const bool tmr = config_.tmr_protection;
-    const double vdd = delay_.vdd;
 
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = w.data();
     Q3_4* out_data = out.data();
-    const double* vs = voltage->data();
-    const std::size_t vn = voltage->size();
 
     const auto true_product_at = [&](std::size_t g) {
         return static_cast<fx::Acc>(in_data[g % in_n].raw()) * w_data[g].raw();
@@ -503,52 +462,19 @@ void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer
     const std::size_t op_end = elem_end * in_n;
     std::vector<fx::Acc> accs(seed_accs + elem_begin, seed_accs + elem_end);
 
-    // See run_conv_window for the binary-search rationale.
-    const bool no_throttle = throttle == nullptr;
-    const CycleWindow* wend = overlay.unsafe.data() + overlay.unsafe.size();
-    const CycleWindow* wit = std::lower_bound(
-        overlay.unsafe.data(), wend, op_begin,
-        [&](const CycleWindow& cw, std::size_t ob) {
-            return (cw.end - seg.start_cycle) * mpc <= ob;
+    // See run_conv_window for the fault pass.
+    detail::walk_unsafe_ops(
+        overlay, seg, op_begin, op_end, *voltage, fc_dsps_, delay_, 1.0, tmr, fc_safe_v_,
+        throttle, rng, [&](std::size_t g, std::size_t pos, FaultKind kind) {
+            if (kind == FaultKind::Duplication) {
+                accs[g / in_n - elem_begin] += stale_product_at(g, pos) - true_product_at(g);
+                ++counts.duplication;
+            } else {
+                accs[g / in_n - elem_begin] +=
+                    DspSlice::random_fault_value(rng) - true_product_at(g);
+                ++counts.random;
+            }
         });
-    for (; wit != wend; ++wit) {
-        std::size_t lo = (wit->begin - seg.start_cycle) * mpc;
-        std::size_t hi = (wit->end - seg.start_cycle) * mpc;
-        if (lo >= op_end) break;
-        lo = std::max(lo, op_begin);
-        hi = std::min(hi, op_end);
-        std::size_t cycle = seg.start_cycle + lo / mpc;
-        std::size_t pos = lo % mpc;
-        double fac[2] = {-1.0, -1.0};
-        for (std::size_t g = lo; g < hi; ++g) {
-            const std::size_t sidx = cycle * 2 + (pos & 1);
-            const double v = sidx < vn ? vs[sidx] : vdd;
-            if (v < fc_safe_v_ && (no_throttle || !detail::throttled(throttle, cycle))) {
-                double& f = fac[pos & 1];
-                if (f < 0.0) f = delay_.factor(v);
-                switch (detail::evaluate_op_with_factor(fc_dsps_[pos >> 1], f, rng, 1.0,
-                                                        tmr)) {
-                    case FaultKind::None:
-                        break;
-                    case FaultKind::Duplication:
-                        accs[g / in_n - elem_begin] +=
-                            stale_product_at(g, pos) - true_product_at(g);
-                        ++counts.duplication;
-                        break;
-                    case FaultKind::Random:
-                        accs[g / in_n - elem_begin] +=
-                            DspSlice::random_fault_value(rng) - true_product_at(g);
-                        ++counts.random;
-                        break;
-                }
-            }
-            if (++pos == mpc) {
-                pos = 0;
-                ++cycle;
-                fac[0] = fac[1] = -1.0;
-            }
-        }
-    }
 
     for (std::size_t o = elem_begin; o < elem_end; ++o) {
         out_data[o] = quant::apply_activation(
@@ -631,6 +557,7 @@ RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
                 "AccelEngine::run: overlay plan does not match trace/network");
     }
 
+    const std::uint64_t skipped_before = fault_rng.skipped_deviates();
     RunResult result;
     result.faults_by_layer.reserve(network_.layers.size());
     result.layer_index.reserve(network_.layers.size());
@@ -698,6 +625,9 @@ RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
         metrics::counter("accel.ops_unsafe", "ops",
                          "ops inside unsafe voltage windows (per-op fault path)")
             .add(ops_unsafe);
+        metrics::counter("accel.jitter_skipped", "ops",
+                         "jitter draws consumed without computing (provably fault-free)")
+            .add(fault_rng.skipped_deviates() - skipped_before);
         metrics::counter("accel.faults_duplication", "faults",
                          "DSP duplication faults injected")
             .add(result.faults_total.duplication);
@@ -773,6 +703,7 @@ RunResult AccelEngine::run_elided(const QTensor& image,
                 plan.trace_samples == (voltage == nullptr ? 0 : voltage->size()),
             "AccelEngine::run_elided: overlay plan does not match trace/network");
 
+    const std::uint64_t skipped_before = fault_rng.skipped_deviates();
     RunResult result;
     result.faults_by_layer.reserve(network_.layers.size());
     result.layer_index.reserve(network_.layers.size());
@@ -914,6 +845,9 @@ RunResult AccelEngine::run_elided(const QTensor& image,
         metrics::counter("accel.ops_unsafe", "ops",
                          "ops inside unsafe voltage windows (per-op fault path)")
             .add(ops_unsafe);
+        metrics::counter("accel.jitter_skipped", "ops",
+                         "jitter draws consumed without computing (provably fault-free)")
+            .add(fault_rng.skipped_deviates() - skipped_before);
         metrics::counter("accel.faults_duplication", "faults",
                          "DSP duplication faults injected")
             .add(result.faults_total.duplication);

@@ -1,10 +1,17 @@
 #include "nn/zoo.hpp"
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "nn/serialize.hpp"
+#include "util/atomic_file.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -137,6 +144,82 @@ std::string cache_key(const ZooTrainSpec& spec) {
     return os.str();
 }
 
+// Weight-cache accuracy sidecar: `<weights file>.acc`, one line
+//   deepstrike-accuracy <weights crc> <test-set crc> <accuracy bits>
+// (hex). It answers a cache hit's test accuracy without re-running the
+// float model over the test set. Both CRCs must match: the weights file's
+// bytes, and a fingerprint of the test set synthesized for this spec (so a
+// changed generator invalidates it too). The accuracy is stored as its
+// exact double bits, so a hit returns what the evaluation would.
+constexpr const char* kSidecarTag = "deepstrike-accuracy";
+
+std::filesystem::path sidecar_path(const std::filesystem::path& weights_file) {
+    return std::filesystem::path(weights_file.string() + ".acc");
+}
+
+std::uint32_t file_crc(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw IoError("cannot read " + path.string());
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    return crc32(bytes);
+}
+
+std::uint32_t dataset_crc(const data::Dataset& set) {
+    std::uint32_t crc = 0;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        const FloatTensor& image = set.images[i];
+        crc = crc32(image.data(), image.size() * sizeof(float), crc);
+        const auto label = static_cast<std::uint64_t>(set.labels[i]);
+        crc = crc32(&label, sizeof(label), crc);
+    }
+    return crc;
+}
+
+std::string sidecar_line(std::uint32_t weights_crc, std::uint32_t test_crc,
+                         double accuracy) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &accuracy, sizeof(bits));
+    char line[96];
+    std::snprintf(line, sizeof(line), "%s %08x %08x %016llx\n", kSidecarTag,
+                  static_cast<unsigned>(weights_crc), static_cast<unsigned>(test_crc),
+                  static_cast<unsigned long long>(bits));
+    return line;
+}
+
+/// The recorded accuracy, when the sidecar exists and matches both CRCs.
+std::optional<double> read_sidecar(const std::filesystem::path& weights_file,
+                                   std::uint32_t weights_crc, std::uint32_t test_crc) {
+    std::ifstream in(sidecar_path(weights_file));
+    std::string line;
+    if (!in || !std::getline(in, line)) return std::nullopt;
+    unsigned w = 0;
+    unsigned t = 0;
+    unsigned long long bits = 0;
+    char tail = 0;
+    char head[32] = {};
+    if (std::sscanf(line.c_str(), "%31s %8x %8x %16llx%c", head, &w, &t, &bits, &tail) !=
+            4 ||
+        std::strcmp(head, kSidecarTag) != 0 || w != weights_crc || t != test_crc) {
+        return std::nullopt;
+    }
+    double accuracy = 0.0;
+    std::memcpy(&accuracy, &bits, sizeof(accuracy));
+    return accuracy;
+}
+
+/// Records `accuracy` for the weights file as it is now on disk. A cache
+/// that cannot be written only costs the next load an evaluation.
+void write_sidecar(const std::filesystem::path& weights_file, std::uint32_t test_crc,
+                   double accuracy) {
+    try {
+        atomic_write_file(sidecar_path(weights_file).string(),
+                          sidecar_line(file_crc(weights_file), test_crc, accuracy));
+    } catch (const Error& e) {
+        log_warn("could not persist zoo accuracy sidecar: ", e.what());
+    }
+}
+
 } // namespace
 
 TrainedModel train_or_load(const ZooTrainSpec& spec) {
@@ -148,21 +231,36 @@ TrainedModel train_or_load(const ZooTrainSpec& spec) {
 
     const std::filesystem::path dir = resolve_cache_dir(spec.cache_dir);
     const std::filesystem::path file = dir / cache_key(spec);
-    const data::DatasetPair datasets =
-        data::make_datasets(spec.data_seed, spec.train_size, spec.test_size);
 
     std::error_code ec;
     if (std::filesystem::exists(file, ec)) {
         try {
             load_weights(result.model, file.string());
+            // A hit needs only the test set: the sidecar answers the
+            // accuracy, or it is computed once and recorded.
+            const data::Dataset test =
+                data::make_datasets(spec.data_seed, 0, spec.test_size).test;
+            const std::uint32_t test_crc = dataset_crc(test);
+            if (std::optional<double> accuracy =
+                    read_sidecar(file, file_crc(file), test_crc)) {
+                result.test_accuracy = *accuracy;
+            } else {
+                result.test_accuracy = evaluate_accuracy(result.model, test);
+                write_sidecar(file, test_crc, result.test_accuracy);
+            }
             result.loaded_from_cache = true;
-            result.test_accuracy = evaluate_accuracy(result.model, datasets.test);
             return result;
         } catch (const Error& e) {
             log_warn("zoo cache load failed (", e.what(), "); retraining");
+            // A failed load may have overwritten some parameters: train
+            // from the same fresh initialization as an empty cache would.
+            Rng fresh_rng(spec.init_seed);
+            result.model = build_architecture(spec.architecture, fresh_rng);
         }
     }
 
+    const data::DatasetPair datasets =
+        data::make_datasets(spec.data_seed, spec.train_size, spec.test_size);
     log_info("training ", architecture_name(spec.architecture), " (", spec.train_size,
              " samples, ", spec.train_config.epochs, " epochs)...");
     train(result.model, datasets.train, spec.train_config);
@@ -173,6 +271,7 @@ TrainedModel train_or_load(const ZooTrainSpec& spec) {
     std::filesystem::create_directories(dir, ec);
     try {
         save_weights(result.model, file.string());
+        write_sidecar(file, dataset_crc(datasets.test), result.test_accuracy);
     } catch (const Error& e) {
         log_warn("could not persist zoo cache: ", e.what());
     }

@@ -627,6 +627,11 @@ int Coordinator::Impl::run() {
         check_worker_liveness();
         dispatch();
     }
+    // Whatever ended the loop — stop() or a finished drain — release every
+    // peer now rather than when the object is destroyed: a client blocked
+    // in tail() or a worker waiting for its next frame only wakes on EOF.
+    listener.close();
+    for (auto& c : conns) c->socket.close();
     return 0;
 }
 

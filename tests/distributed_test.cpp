@@ -277,6 +277,45 @@ TEST(Distributed, DuplicateHelloFromWorkerRequeuesItsRecord) {
     EXPECT_EQ(outcome.markdown, expected.to_markdown());
 }
 
+TEST(Distributed, StopReleasesTailingClientsAndIdleWorkers) {
+    CoordinatorHarness harness(0);
+    ServiceClient client("127.0.0.1", harness.port());
+    const std::uint64_t id = client.submit(small_manifest());
+
+    // A worker that took the announcement and now waits for its next
+    // frame, and a client tailing the (never finishing) campaign.
+    net::Socket worker = net::Socket::connect_tcp("127.0.0.1", harness.port());
+    net::FrameDecoder decoder;
+    Json hello = net::make_message("hello");
+    hello.set("protocol", net::kProtocolVersion);
+    hello.set("role", "worker");
+    net::send_message(worker, hello);
+    expect_frame(worker, decoder, "welcome");
+    expect_frame(worker, decoder, "campaign");
+    std::future<CampaignOutcome> tail =
+        std::async(std::launch::async, [&] { return client.tail(id); });
+    std::future<std::optional<Json>> next_frame = std::async(
+        std::launch::async, [&] { return net::recv_message(worker, decoder); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    // stop() while the coordinator object stays alive: run() must hang up
+    // on both peers before it returns.
+    harness.coordinator->stop();
+    harness.join();
+    const bool released =
+        tail.wait_for(std::chrono::seconds(5)) == std::future_status::ready &&
+        next_frame.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    if (!released) {
+        harness.coordinator.reset(); // closes the connections, unblocking both
+        tail.wait();
+        next_frame.wait();
+        FAIL() << "stop() left a tailing client or an idle worker blocked";
+    }
+    EXPECT_THROW(tail.get(), IoError);
+    EXPECT_FALSE(next_frame.get().has_value());
+    EXPECT_EQ(harness.rc, 0);
+}
+
 TEST(Distributed, BadManifestAndUnknownCampaignAreRejected) {
     CoordinatorHarness harness(0);
     ServiceClient client("127.0.0.1", harness.port());

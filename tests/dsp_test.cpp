@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "accel/dsp.hpp"
+#include "accel/engine_detail.hpp"
 #include "util/error.hpp"
 
 namespace deepstrike::accel {
@@ -165,6 +168,62 @@ TEST(Dsp, InvalidTimingRejected) {
     bad = DspTimingParams{};
     bad.clock_period_s = 0.0;
     EXPECT_THROW(DspSlice(0, bad, rng), ContractError);
+}
+
+// The jitter floor only ever skips draws that cannot fault: over a million
+// random (slice, factor, path_scale) cases — thresholds t from -1 to 6
+// sigma, with an eighth of them within a few 1e-6 of 0 where the floor's
+// margins bite, a quarter under TMR — the floor-based evaluation returns
+// the fault kind of the floor-less one. Both streams run on continuously
+// (a pending pair left by one case is consumed by the next, under another
+// slice's floor), with random-fault payloads drawn in between as in the
+// engine walk, and end on the same stream.
+TEST(Dsp, JitterFloorNeverChangesAFaultKind) {
+    Rng cases(91);
+    std::vector<DspSlice> slices;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        DspTimingParams params;
+        params.clock_period_s = i % 2 == 0 ? 5e-9 : 10e-9;
+        params.nominal_path_fraction = cases.uniform(0.5, 0.95);
+        params.op_jitter_sigma = cases.uniform(0.005, 0.03);
+        params.duplication_band = cases.uniform(0.005, 0.03);
+        slices.emplace_back(i, params, cases);
+    }
+    Rng with_floor(92);
+    Rng without(92);
+    std::size_t faults[3] = {0, 0, 0};
+    std::size_t no_floor = 0;
+    for (int i = 0; i < 1000000; ++i) {
+        const DspSlice& slice = slices[static_cast<std::size_t>(cases.uniform_int(0, 15))];
+        const double path_scale = cases.uniform(0.9, 1.0);
+        const double t = cases.uniform_int(0, 7) == 0 ? cases.uniform(-2e-6, 3e-6)
+                                                      : cases.uniform(-1.0, 6.0);
+        const DspTimingParams& p = slice.params();
+        const double factor =
+            p.clock_period_s / (slice.path_delay_s() * path_scale * (1.0 + p.op_jitter_sigma * t));
+        const bool tmr = cases.uniform_int(0, 3) == 0;
+        const double floor = slice.jitter_floor(factor, path_scale);
+        if (floor == Rng::kNoFloor) ++no_floor;
+        const FaultKind got =
+            detail::evaluate_op(slice, factor, floor, with_floor, path_scale, tmr);
+        const FaultKind want =
+            detail::evaluate_op(slice, factor, Rng::kNoFloor, without, path_scale, tmr);
+        ASSERT_EQ(got, want) << "case " << i << " t=" << t << " tmr=" << tmr;
+        ++faults[static_cast<int>(got)];
+        if (got == FaultKind::Random) {
+            ASSERT_EQ(DspSlice::random_fault_value(with_floor),
+                      DspSlice::random_fault_value(without));
+        }
+    }
+    EXPECT_TRUE(stream_equal(with_floor, without));
+    EXPECT_EQ(with_floor.normal(), without.normal());
+    EXPECT_EQ(with_floor.next(), without.next());
+    // The property is not vacuous: draws were skipped, every kind occurred,
+    // and some cases had no floor at all.
+    EXPECT_GT(with_floor.skipped_deviates(), 500000u);
+    EXPECT_GT(faults[static_cast<int>(FaultKind::Duplication)], 1000u);
+    EXPECT_GT(faults[static_cast<int>(FaultKind::Random)], 1000u);
+    EXPECT_GT(no_floor, 10000u);
 }
 
 TEST(Dsp, FaultKindNames) {

@@ -82,15 +82,23 @@ TEST(Observability, CounterTotalsIdenticalAtAnyThreadCount) {
     EXPECT_EQ(report_serial, report_parallel);
     expect_deterministic_equal(serial, parallel);
 
-    // Sanity: the campaign actually exercised the instrumented modules.
+    // Sanity: the campaign actually exercised the instrumented modules,
+    // the fault walk included: its skipped-draw count is an integer that
+    // the equality above pins across thread counts, and it must be live.
     bool saw_pdn = false;
+    std::uint64_t skipped = 0;
+    std::uint64_t unsafe = 0;
     for (const auto& c : serial.counters) {
         if (c.name == "pdn.steps") {
             saw_pdn = true;
             EXPECT_GT(c.value, 0u);
         }
+        if (c.name == "accel.jitter_skipped") skipped = c.value;
+        if (c.name == "accel.ops_unsafe") unsafe = c.value;
     }
     EXPECT_TRUE(saw_pdn);
+    EXPECT_GT(skipped, 0u);
+    EXPECT_LE(skipped, unsafe);
 }
 
 TEST(Observability, ReportBytesUnchangedBySinks) {

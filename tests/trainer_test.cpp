@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "nn/zoo.hpp"
 #include "nn/serialize.hpp"
@@ -167,6 +171,126 @@ TEST(TrainOrLoad, UsesCacheOnSecondCall) {
     const TrainedModel second = train_or_load(spec);
     EXPECT_TRUE(second.loaded_from_cache);
     EXPECT_DOUBLE_EQ(first.test_accuracy, second.test_accuracy);
+    fs::remove_all(dir);
+}
+
+std::uint64_t bits_of(double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::filesystem::path& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/// The single weights file (`*.dsw`) of a one-spec cache directory.
+std::filesystem::path weights_file_in(const std::filesystem::path& dir) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".dsw") return entry.path();
+    }
+    return {};
+}
+
+/// The sidecar line with its recorded accuracy replaced by `accuracy`;
+/// both CRC keys are kept.
+std::string forge_accuracy(const std::string& line, double accuracy) {
+    char bits[17];
+    std::snprintf(bits, sizeof(bits), "%016llx",
+                  static_cast<unsigned long long>(bits_of(accuracy)));
+    return line.substr(0, line.rfind(' ') + 1) + bits + "\n";
+}
+
+ZooTrainSpec tiny_spec(const std::filesystem::path& dir) {
+    ZooTrainSpec spec;
+    spec.train_size = 40;
+    spec.test_size = 20;
+    spec.train_config.epochs = 1;
+    spec.cache_dir = dir.string();
+    return spec;
+}
+
+TEST(TrainOrLoad, CacheHitReturnsTheRecordedAccuracyBitForBit) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "ds_cache_sidecar_test";
+    fs::remove_all(dir);
+    const ZooTrainSpec spec = tiny_spec(dir);
+
+    const TrainedModel first = train_or_load(spec);
+    ASSERT_FALSE(first.loaded_from_cache);
+    const fs::path weights = weights_file_in(dir);
+    ASSERT_TRUE(fs::exists(weights.string() + ".acc"));
+
+    TrainedModel second = train_or_load(spec);
+    ASSERT_TRUE(second.loaded_from_cache);
+    EXPECT_EQ(bits_of(second.test_accuracy), bits_of(first.test_accuracy));
+    const data::Dataset test = data::make_datasets(spec.data_seed, 1, spec.test_size).test;
+    EXPECT_EQ(bits_of(second.test_accuracy),
+              bits_of(evaluate_accuracy(second.model, test)));
+
+    // A cache written without a sidecar keeps working: the first load
+    // computes the accuracy and records it for the next.
+    fs::remove(weights.string() + ".acc");
+    const TrainedModel third = train_or_load(spec);
+    EXPECT_TRUE(third.loaded_from_cache);
+    EXPECT_EQ(bits_of(third.test_accuracy), bits_of(first.test_accuracy));
+    EXPECT_TRUE(fs::exists(weights.string() + ".acc"));
+    fs::remove_all(dir);
+}
+
+TEST(TrainOrLoad, SidecarIsKeyedByTheWeightsFileAndTheTestSet) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "ds_cache_sidecar_keys_test";
+    fs::remove_all(dir);
+    const ZooTrainSpec spec = tiny_spec(dir);
+    const TrainedModel trained = train_or_load(spec);
+    const fs::path weights = weights_file_in(dir);
+    const fs::path sidecar = weights.string() + ".acc";
+    const std::string recorded = read_file(sidecar);
+
+    // With both keys matching, the sidecar is what answers a hit.
+    const double forged = 0.123;
+    ASSERT_NE(bits_of(forged), bits_of(trained.test_accuracy));
+    write_file(sidecar, forge_accuracy(recorded, forged));
+    EXPECT_EQ(bits_of(train_or_load(spec).test_accuracy), bits_of(forged));
+
+    // A tampered weights file no longer matches: the accuracy is computed
+    // from the weights actually loaded, and the sidecar re-keyed.
+    std::string bytes = read_file(weights);
+    bytes.back() = static_cast<char>(bytes.back() ^ 0x40);
+    write_file(weights, bytes);
+    TrainedModel tampered = train_or_load(spec);
+    ASSERT_TRUE(tampered.loaded_from_cache);
+    const data::Dataset test = data::make_datasets(spec.data_seed, 1, spec.test_size).test;
+    EXPECT_EQ(bits_of(tampered.test_accuracy),
+              bits_of(evaluate_accuracy(tampered.model, test)));
+    const std::string rekeyed = read_file(sidecar);
+    EXPECT_NE(rekeyed.substr(0, rekeyed.rfind(' ')), recorded.substr(0, recorded.rfind(' ')));
+
+    // The same weights and sidecar served for a different test set (here:
+    // another spec's cache entry) do not match either.
+    ZooTrainSpec other = spec;
+    other.test_size = 10;
+    const fs::path other_dir = dir / "other";
+    fs::create_directories(other_dir);
+    other.cache_dir = other_dir.string();
+    train_or_load(other); // creates the entry whose file name is needed
+    const fs::path other_weights = weights_file_in(other_dir);
+    write_file(other_weights, bytes);
+    write_file(other_weights.string() + ".acc", forge_accuracy(rekeyed, forged));
+    TrainedModel moved = train_or_load(other);
+    ASSERT_TRUE(moved.loaded_from_cache);
+    const data::Dataset other_test =
+        data::make_datasets(other.data_seed, 1, other.test_size).test;
+    EXPECT_EQ(bits_of(moved.test_accuracy),
+              bits_of(evaluate_accuracy(moved.model, other_test)));
+    EXPECT_NE(bits_of(moved.test_accuracy), bits_of(forged));
     fs::remove_all(dir);
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
 
 #include "util/bitvec.hpp"
@@ -111,6 +113,96 @@ TEST(Rng, StateRoundTrip) {
     Rng restored(0);
     restored.set_state(snapshot);
     EXPECT_EQ(restored.next(), expected);
+}
+
+/// Bit pattern of a double, so -0.0/0.0 and NaN compare exactly.
+std::uint64_t bits(double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+}
+
+// A stream driven through normal_unless_below() with arbitrary floors —
+// randomly interleaved with normal(), uniform_int() (the random-fault
+// payload) and set_state() — consumes exactly the draws of a twin driven
+// through normal() alone. Every computed deviate is bit-equal to the
+// twin's, every skipped one lies at or below the threshold its floor
+// encodes, and the two streams stay stream_equal throughout.
+TEST(Rng, SkippedDeviatesKeepTheStream) {
+    Rng driver(71);
+    Rng skipping(72);
+    Rng plain(72);
+    std::uint64_t skips = 0;
+    for (int step = 0; step < 200000; ++step) {
+        const std::int64_t action = driver.uniform_int(0, 19);
+        if (action < 14) {
+            // Threshold t spans "always faults" (no floor) to far tails.
+            const bool no_floor = action == 0;
+            const double t = driver.uniform(-1.0, 6.0);
+            const double floor = no_floor || t <= 0.0
+                                     ? Rng::kNoFloor
+                                     : std::exp(-0.5 * t * t) * (1.0 + 1e-9);
+            double z = 0.0;
+            const bool computed = skipping.normal_unless_below(floor, z);
+            const double expected = plain.normal();
+            if (computed) {
+                ASSERT_EQ(bits(z), bits(expected)) << "step " << step;
+            } else {
+                ++skips;
+                ASSERT_LT(floor, Rng::kNoFloor) << "skipped without a floor";
+                ASSERT_LE(expected, t) << "step " << step;
+            }
+        } else if (action < 17) {
+            ASSERT_EQ(bits(skipping.normal()), bits(plain.normal())) << "step " << step;
+        } else if (action < 19) {
+            ASSERT_EQ(skipping.uniform_int(-32768, 32767), plain.uniform_int(-32768, 32767));
+        } else {
+            const auto state = driver.state();
+            skipping.set_state(state);
+            plain.set_state(state);
+        }
+        ASSERT_TRUE(stream_equal(skipping, plain)) << "step " << step;
+    }
+    EXPECT_EQ(skipping.skipped_deviates(), skips);
+    EXPECT_GT(skips, 50000u);
+    EXPECT_EQ(plain.skipped_deviates(), 0u);
+    EXPECT_EQ(skipping.next(), plain.next());
+}
+
+TEST(Rng, StreamEqualComparesAPendingPairByItsValue) {
+    // A floor of 0 encodes an infinite threshold: every deviate skips, so
+    // the first call leaves its second deviate pending as a raw pair.
+    const Rng start(81);
+    Rng pending = start;
+    double z = 0.0;
+    ASSERT_FALSE(pending.normal_unless_below(0.0, z));
+    Rng computed = start;
+    computed.normal(); // caches the same pair's second deviate, computed
+    EXPECT_TRUE(stream_equal(pending, computed));
+    EXPECT_TRUE(stream_equal(computed, pending));
+
+    // Same xoshiro state, different pending pair: one stream skips the
+    // pair's first two draws, the other draws one word first and skips the
+    // next pair, then the first catches up with one raw draw.
+    Rng shifted = start;
+    shifted.next();
+    ASSERT_FALSE(shifted.normal_unless_below(0.0, z));
+    Rng late = pending;
+    late.next();
+    ASSERT_EQ(late.state(), shifted.state());
+    EXPECT_FALSE(stream_equal(late, shifted));
+
+    // Materialized, the pending deviate is the cached one, bit for bit.
+    EXPECT_EQ(bits(pending.normal()), bits(computed.normal()));
+    EXPECT_TRUE(stream_equal(pending, computed));
+
+    // set_state drops a pending pair like a computed cache.
+    Rng cleared = start;
+    ASSERT_FALSE(cleared.normal_unless_below(0.0, z));
+    cleared.set_state(start.state());
+    Rng fresh = start;
+    EXPECT_TRUE(stream_equal(cleared, fresh));
+    EXPECT_EQ(bits(cleared.normal()), bits(fresh.normal()));
 }
 
 // ---------------------------------------------------------- RunningStats

@@ -24,7 +24,13 @@ Checks, over every tracked markdown file:
    (`serve.*`) is accepted when at least one registered metric carries
    that prefix. Only tokens whose first segment is a namespace the code
    registers are policed, so prose like `config.port` stays free.
-6. The wire message types docs/distributed.md documents (first-column
+6. Markdown under perfbench/ documents the end-to-end benchmark, which
+   has a flag and name inventory of its own: its `--flag`s are checked
+   against perfbench/run.py's add_argument calls and the options
+   perfbench/bench.cpp parses (plus the CLI's, which the bench drives),
+   and its dotted names against BENCHMARK.json's metric names and the
+   bench's span names (plus the registered metrics).
+7. The wire message types docs/distributed.md documents (first-column
    backticked tokens of its "Message types" table) match the protocol's
    kMessageTypes table in src/net/protocol.cpp exactly, both ways: a
    type added to the code without a docs row fails, and so does a
@@ -34,6 +40,7 @@ Exit code 0 when clean, 1 with a per-file report otherwise.
 """
 
 import argparse
+import json
 import pathlib
 import re
 import subprocess
@@ -84,7 +91,18 @@ TABLE_TYPE_RE = re.compile(r"^\|\s*`([a-z-]+)`", re.MULTILINE)
 FOREIGN_COMMAND_WORDS = (
     "cmake", "ctest", "git ", "pip", "python", "perfetto", "gtkwave",
     "micro_primitives", "check_bench_regression", "check_docs",
+    "perfbench", "perf-smoke",
 )
+
+# The end-to-end benchmark (perfbench/): its docs, flag sources and names.
+PERFBENCH_DOCS = "perfbench/"
+PERFBENCH_RUNNER = "perfbench/run.py"
+PERFBENCH_PROGRAM = "perfbench/bench.cpp"
+BENCHMARK_DECLARATION = "BENCHMARK.json"
+ARGPARSE_FLAG_RE = re.compile(r'add_argument\(\s*"(--[A-Za-z0-9-]+)"')
+PARSED_OPTION_RE = re.compile(r'arg == "(--[A-Za-z0-9-]+)"')
+# bench.cpp times each layer call under a span: timed("plan.profile", ...).
+BENCH_SPAN_RE = re.compile(r'timed\(\s*"([^"]+)"')
 
 
 def tracked_markdown():
@@ -100,6 +118,24 @@ def cli_flags():
     flags = {"--" + name for name in REGISTRATION_RE.findall(source)}
     flags.add("--help")
     return flags
+
+
+def perfbench_flags():
+    """Flags of the benchmark runner and of the benchmark program."""
+    runner = (REPO / PERFBENCH_RUNNER).read_text()
+    program = (REPO / PERFBENCH_PROGRAM).read_text()
+    return set(ARGPARSE_FLAG_RE.findall(runner)) | set(PARSED_OPTION_RE.findall(program))
+
+
+def perfbench_names():
+    """BENCHMARK.json's metric names and the bench program's span names."""
+    declaration = json.loads((REPO / BENCHMARK_DECLARATION).read_text())
+    names = {m["name"] for key in ("end_to_end", "per_layer")
+             for m in declaration.get(key, [])}
+    program = (REPO / PERFBENCH_PROGRAM).read_text()
+    names.update(BENCH_SPAN_RE.findall(program))
+    names.update(TRACE_REGISTRATION_RE.findall(program))
+    return names
 
 
 def registered_metrics():
@@ -159,7 +195,7 @@ def check_backticked_paths(doc, text, errors):
         errors.append(f"{doc.relative_to(REPO)}: referenced path missing -> {token}")
 
 
-def check_cli_flags(doc, text, flags, errors):
+def check_cli_flags(doc, text, flags, errors, inventory="deepstrike --help"):
     for line in text.splitlines():
         lowered = line.lower()
         if any(word in lowered for word in FOREIGN_COMMAND_WORDS):
@@ -175,7 +211,7 @@ def check_cli_flags(doc, text, flags, errors):
         for flag in FLAG_RE.findall(strip_code_spans(line)):
             if flag not in flags:
                 errors.append(
-                    f"{doc.relative_to(REPO)}: flag not in deepstrike --help "
+                    f"{doc.relative_to(REPO)}: flag not in {inventory} "
                     f"-> {flag} (line: {line.strip()[:80]})")
 
 
@@ -196,7 +232,7 @@ def check_experiment_benches(doc, text, errors):
             f"-> {token}")
 
 
-def check_metric_names(doc, text, metrics, errors):
+def check_metric_names(doc, text, metrics, errors, source="src/"):
     """Backticked dotted tokens in a registered namespace must name a
     registered metric (or be a `ns.*` wildcard with at least one hit)."""
     namespaces = {name.split(".", 1)[0] for name in metrics}
@@ -214,7 +250,7 @@ def check_metric_names(doc, text, metrics, errors):
                 name.startswith(token[:-1]) for name in metrics):
             continue
         errors.append(
-            f"{doc.relative_to(REPO)}: metric not registered under src/ "
+            f"{doc.relative_to(REPO)}: metric not registered under {source} "
             f"-> {token}")
 
 
@@ -246,15 +282,24 @@ def main():
 
     flags = cli_flags()
     metrics = registered_metrics()
+    bench_flags = flags | perfbench_flags()
+    bench_metrics = metrics | perfbench_names()
     wire_types = wire_message_types()
     errors = []
     docs = tracked_markdown()
     for doc in docs:
         text = doc.read_text()
+        in_perfbench = str(doc.relative_to(REPO)).startswith(PERFBENCH_DOCS)
         check_links(doc, text, errors)
         check_backticked_paths(doc, text, errors)
-        check_cli_flags(doc, text, flags, errors)
-        check_metric_names(doc, text, metrics, errors)
+        if in_perfbench:
+            check_cli_flags(doc, text, bench_flags, errors,
+                            inventory="perfbench's or deepstrike's flags")
+            check_metric_names(doc, text, bench_metrics, errors,
+                               source="src/, BENCHMARK.json or bench spans")
+        else:
+            check_cli_flags(doc, text, flags, errors)
+            check_metric_names(doc, text, metrics, errors)
         if doc.name == "EXPERIMENTS.md":
             check_experiment_benches(doc, text, errors)
         if str(doc.relative_to(REPO)) == WIRE_DOC:
