@@ -516,8 +516,8 @@ BENCHMARK(BM_GuidedCampaignPointEval200Cached)->Unit(benchmark::kMillisecond);
 
 // One generation of the weight-fault search (nightly `search-convergence`
 // lane): a DES population of 16 candidates scored through the sim-backed
-// fitness — apply faults to a deployment copy, evaluate 64 images with
-// golden-prefix elision, memoize by candidate. The driver's budget admits
+// fitness — state the faults as weight deltas, score 64 images by
+// golden-delta propagation, memoize by candidate. The search budget admits
 // exactly the init population plus one evolved generation, so ns/op bounds
 // the per-generation cost a fixed-budget search pays ~(budget/population)
 // times. Setup cost (golden store build) is inside the loop on purpose:

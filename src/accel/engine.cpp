@@ -5,6 +5,7 @@
 
 #include "accel/engine_detail.hpp"
 #include "quant/gemm.hpp"
+#include "quant/golden_delta.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
@@ -56,129 +57,6 @@ std::vector<std::pair<std::size_t, std::size_t>> hot_element_ranges(
         }
     }
     return hot;
-}
-
-// --- sparse golden-delta propagation (run_elided, post-divergence) ---
-//
-// Once a windowed layer has faulted, its output differs from the golden
-// activation at only a handful of elements (the windows' hot ranges). As
-// long as downstream layers are themselves fault-free, each one can be
-// patched from its cached golden output instead of fully recomputed:
-//   dense — full acc[j] = golden_acc[j] + sum over changed inputs of
-//           (x - golden) * w; integer sums reassociate exactly, so the
-//           writeback is byte-identical to a full recompute;
-//   conv  — recompute only the output elements whose receptive field
-//           touches a changed input (exact: full per-element kernel);
-//   pool  — recompute only the 2x2 windows covering a changed input.
-// The changed set is re-derived per layer by diffing against golden, so
-// saturation/LUT writebacks that swallow a delta shrink it as it flows.
-
-/// Flat indices where `a` and `b` differ (same element count assumed).
-std::vector<std::size_t> diff_indices(const QTensor& a, const QTensor& b) {
-    std::vector<std::size_t> d;
-    const Q3_4* pa = a.data();
-    const Q3_4* pb = b.data();
-    const std::size_t n = a.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pa[i].raw() != pb[i].raw()) d.push_back(i);
-    }
-    return d;
-}
-
-QTensor patch_dense(const QTensor& x, const QTensor& golden_in,
-                    const std::vector<std::size_t>& changed,
-                    const quant::QLayer& layer, const std::vector<fx::Acc>& gaccs,
-                    const QTensor& golden_out) {
-    const std::size_t out_n = layer.weight.shape().dim(0);
-    const std::size_t in_n = layer.weight.shape().dim(1);
-    const Q3_4* xd = x.data();
-    const Q3_4* gd = golden_in.data();
-    const Q3_4* wd = layer.weight.data();
-    QTensor out(Shape{out_n});
-    Q3_4* od = out.data();
-    for (std::size_t j = 0; j < out_n; ++j) {
-        const Q3_4* w_row = wd + j * in_n;
-        fx::Acc delta = 0;
-        for (std::size_t idx : changed) {
-            delta += static_cast<fx::Acc>(xd[idx].raw() - gd[idx].raw()) *
-                     w_row[idx].raw();
-        }
-        od[j] = delta == 0 ? golden_out.data()[j]
-                           : quant::apply_activation(
-                                 Q3_4::from_accumulator(gaccs[j] + delta),
-                                 layer.activation);
-    }
-    return out;
-}
-
-QTensor patch_conv(const QTensor& x, const std::vector<std::size_t>& changed,
-                   const quant::QLayer& layer, const QTensor& golden_out) {
-    const std::size_t in_h = x.shape().dim(1);
-    const std::size_t in_w = x.shape().dim(2);
-    const std::size_t k = layer.weight.shape().dim(2);
-    const std::size_t out_c = layer.weight.shape().dim(0);
-    const std::size_t out_h = in_h - k + 1;
-    const std::size_t out_w = in_w - k + 1;
-    const std::size_t plane = out_h * out_w;
-    QTensor out = golden_out;
-    std::vector<bool> visited(out.size(), false);
-    for (std::size_t idx : changed) {
-        // Every output channel sums over all input channels, so only the
-        // spatial position of the changed input bounds the affected set.
-        const std::size_t rc = idx % (in_h * in_w);
-        const std::size_t r = rc / in_w;
-        const std::size_t c = rc % in_w;
-        const std::size_t r_lo = r >= k - 1 ? r - (k - 1) : 0;
-        const std::size_t r_hi = std::min(r, out_h - 1);
-        const std::size_t c_lo = c >= k - 1 ? c - (k - 1) : 0;
-        const std::size_t c_hi = std::min(c, out_w - 1);
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t rr = r_lo; rr <= r_hi; ++rr) {
-                for (std::size_t cc = c_lo; cc <= c_hi; ++cc) {
-                    const std::size_t p = oc * plane + rr * out_w + cc;
-                    if (visited[p]) continue;
-                    visited[p] = true;
-                    // Hot per-element patch: shapes were validated when the
-                    // golden trace was built, so skip the expects re-checks.
-                    quant::detail::qconv2d_outputs_unchecked(
-                        x, layer.weight, layer.bias, layer.activation, p, p + 1, out);
-                }
-            }
-        }
-    }
-    return out;
-}
-
-QTensor patch_pool(const QTensor& x, const std::vector<std::size_t>& changed,
-                   quant::QLayerKind kind, const QTensor& golden_out) {
-    const std::size_t in_h = x.shape().dim(1);
-    const std::size_t in_w = x.shape().dim(2);
-    QTensor out = golden_out;
-    for (std::size_t idx : changed) {
-        const std::size_t ch = idx / (in_h * in_w);
-        const std::size_t rc = idx % (in_h * in_w);
-        const std::size_t r = (rc / in_w) / 2;
-        const std::size_t c = (rc % in_w) / 2;
-        // Recompute the covering window with the same semantics as
-        // qmaxpool2 / qavgpool2 (idempotent when windows repeat).
-        if (kind == quant::QLayerKind::AvgPool2) {
-            const std::int32_t sum =
-                x.at(ch, 2 * r, 2 * c).raw() + x.at(ch, 2 * r, 2 * c + 1).raw() +
-                x.at(ch, 2 * r + 1, 2 * c).raw() +
-                x.at(ch, 2 * r + 1, 2 * c + 1).raw();
-            const std::int32_t avg = sum >= 0 ? (sum + 2) / 4 : -((-sum + 2) / 4);
-            out.at(ch, r, c) = Q3_4::from_raw(static_cast<std::int16_t>(avg));
-        } else {
-            Q3_4 best = x.at(ch, 2 * r, 2 * c);
-            for (std::size_t dr = 0; dr < 2; ++dr) {
-                for (std::size_t dc = 0; dc < 2; ++dc) {
-                    best = std::max(best, x.at(ch, 2 * r + dr, 2 * c + dc));
-                }
-            }
-            out.at(ch, r, c) = best;
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -713,18 +591,16 @@ RunResult AccelEngine::run_elided(const QTensor& image,
     // skipped outright and windowed layers go through the golden-gap
     // variants; a windowed layer that draws zero faults writes back golden
     // bytes (zero integer deltas), so the invariant survives it. The first
-    // fault flips `diverged` and the remainder runs the plain gated path.
+    // fault flips `diverged`; from then on `delta` holds the sparse change
+    // of the current activation against golden. A fault-free layer pushes
+    // it through the golden pass (quant::propagate_delta, which runs a
+    // dense pass itself when patching would cost more); a windowed layer
+    // needs the whole activation, runs the plain gated path on it, and is
+    // re-diffed against golden.
     bool diverged = false;
-    // While `sparse` is true the perturbed activation x differs from the
-    // golden one at exactly the flat indices in `changed`; fault-free
-    // downstream layers are then patched from their golden outputs (see
-    // the patch_* kernels) instead of fully recomputed. The mode is
-    // abandoned — permanently — when a post-divergence layer has its own
-    // unsafe windows (the window walk needs a dense pass anyway) or the
-    // changed set grows past the point where patching wins.
-    bool sparse = false;
-    std::vector<std::size_t> changed;
-    QTensor x; // the perturbed activation, valid once diverged
+    quant::ActivationDelta delta;
+    quant::DeltaStats delta_stats;
+    const quant::GoldenPass golden{image, golden_layers, golden_accs};
     std::uint64_t ops_executed = 0;
     for (std::size_t i = 0; i < network_.layers.size(); ++i) {
         const quant::QLayer& layer = network_.layers[i];
@@ -761,65 +637,45 @@ RunResult AccelEngine::run_elided(const QTensor& image,
                 ops_executed += seg.total_ops;
                 if (counts.total() != 0) {
                     diverged = true;
-                    sparse = true;
-                    x = std::move(out);
-                    changed = diff_indices(x, golden_layers[i]);
+                    quant::diff_from_golden(out, golden_layers[i], delta);
                 }
             }
+        } else if (!overlay.any()) {
+            quant::propagate_delta(network_, golden, nullptr, i, i + 1, delta,
+                                   delta_stats);
+            ops_executed += seg.total_ops;
         } else {
-            if (sparse && (overlay.any() || changed.size() * 2 >= x.size())) {
-                sparse = false;
+            QTensor x = quant::apply_delta(golden_layers[i - 1], delta);
+            if (layer.kind == quant::QLayerKind::Dense && x.shape().rank() != 1) {
+                QTensor flat(Shape{x.size()});
+                std::copy(x.data(), x.data() + x.size(), flat.data());
+                x = std::move(flat);
             }
-            if (sparse) {
-                QTensor out;
-                switch (layer.kind) {
-                    case quant::QLayerKind::Conv:
-                        out = patch_conv(x, changed, layer, golden_layers[i]);
-                        break;
-                    case quant::QLayerKind::Pool2:
-                    case quant::QLayerKind::AvgPool2:
-                        out = patch_pool(x, changed, layer.kind, golden_layers[i]);
-                        break;
-                    case quant::QLayerKind::Dense:
-                        out = patch_dense(x, golden_layers[i - 1], changed, layer,
-                                          golden_accs[i], golden_layers[i]);
-                        break;
-                }
-                changed = diff_indices(out, golden_layers[i]);
-                x = std::move(out);
-                ops_executed += seg.total_ops;
-            } else {
-                if (layer.kind == quant::QLayerKind::Dense && x.shape().rank() != 1) {
-                    QTensor flat(Shape{x.size()});
-                    for (std::size_t j = 0; j < x.size(); ++j) {
-                        flat.at_unchecked(j) = x.at_unchecked(j);
-                    }
-                    x = std::move(flat);
-                }
-                switch (layer.kind) {
-                    case quant::QLayerKind::Conv:
-                        x = run_conv(x, layer, seg, overlay, voltage, fault_rng,
-                                     throttle, counts);
-                        break;
-                    case quant::QLayerKind::Pool2:
-                    case quant::QLayerKind::AvgPool2:
-                        x = run_pool(x, layer, seg, overlay, voltage, fault_rng,
-                                     throttle, counts);
-                        break;
-                    case quant::QLayerKind::Dense:
-                        x = run_fc(x, layer, seg, overlay, voltage, fault_rng,
-                                   throttle, counts);
-                        break;
-                }
-                ops_executed += seg.total_ops;
+            switch (layer.kind) {
+                case quant::QLayerKind::Conv:
+                    x = run_conv(x, layer, seg, overlay, voltage, fault_rng, throttle,
+                                 counts);
+                    break;
+                case quant::QLayerKind::Pool2:
+                case quant::QLayerKind::AvgPool2:
+                    x = run_pool(x, layer, seg, overlay, voltage, fault_rng, throttle,
+                                 counts);
+                    break;
+                case quant::QLayerKind::Dense:
+                    x = run_fc(x, layer, seg, overlay, voltage, fault_rng, throttle,
+                               counts);
+                    break;
             }
+            quant::diff_from_golden(x, golden_layers[i], delta);
+            ops_executed += seg.total_ops;
         }
         result.faults_total += counts;
         result.layer_index.emplace(layer.label, result.faults_by_layer.size());
         result.faults_by_layer.push_back({layer.label, counts});
     }
 
-    result.logits = diverged ? std::move(x) : golden_layers.back();
+    result.logits =
+        diverged ? quant::apply_delta(golden_layers.back(), delta) : golden_layers.back();
     result.predicted = argmax(result.logits);
 
     if (metrics::enabled()) {

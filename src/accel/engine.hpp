@@ -127,12 +127,13 @@ public:
     ///     a copy of its golden output and of its cached accumulators, and
     ///     the fault pass only patches integer deltas into the element
     ///     ranges its windows touch;
-    ///   - after divergence, fault-free downstream layers are patched
-    ///     sparsely from the golden output: only the elements reachable
-    ///     from the changed set are recomputed (dense layers via integer
-    ///     delta sums against the cached accumulators);
-    ///   - a post-divergence layer with its own windows, or a changed set
-    ///     too wide to patch, runs the plain gated path.
+    ///   - after divergence, the change against golden is carried as a
+    ///     sparse delta and fault-free downstream layers propagate it
+    ///     through the golden pass (quant::propagate_delta: integer
+    ///     accumulator deltas, or a dense pass when patching would cost
+    ///     more);
+    ///   - a post-divergence layer with its own windows runs the plain
+    ///     gated path on the materialized activation.
     /// All of it is exact — integer accumulation reassociates losslessly —
     /// so results stay byte-identical to run().
     /// RunResult::golden_layers_reused counts the skipped layers.

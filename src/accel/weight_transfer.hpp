@@ -26,18 +26,19 @@
 //     sign flip moves a weight by a full 8.0 — the largest single-bit
 //     perturbation the format admits).
 //
-// Faults address targets by stream index (quant::WeightStreamView); the
-// hook applies them to a deployment copy of the network, so one faulted
-// QNetwork serves every image of an evaluation — mirroring the physical
-// picture (the transfer happens once, the corruption persists for the
-// whole inference batch) and letting fitness evaluation reuse the
-// unfaulted prefix of cached golden activations (sim/search.hpp).
+// Faults address targets by stream index (quant::WeightStreamView). The
+// hook states what they do as sparse per-layer weight deltas — the
+// transfer happens once and the corruption persists for the whole
+// inference batch — which fitness evaluation pushes through each image's
+// cached golden pass (quant/golden_delta.hpp, sim/search.hpp) instead of
+// running a faulted copy of the network.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "quant/golden_delta.hpp"
 #include "quant/qnetwork.hpp"
 #include "quant/weight_stream.hpp"
 
@@ -73,11 +74,19 @@ std::vector<WeightFault> uniform_weight_faults(
     const std::vector<std::uint32_t>& indices, WeightFaultKind kind,
     std::uint8_t bit = 7);
 
-/// Applies the faults to a deployment copy of `network` and returns it.
-/// Deterministic; an empty fault set returns a byte-identical copy.
-/// Duplicate semantics operate on the flat stream (beats may straddle a
-/// layer boundary — the DMA bursts the stream, not the layers). Throws
+/// The one statement of the fault semantics: the weight words `faults`
+/// change, as per-layer (element, new - old) lists (quant::WeightDeltas;
+/// words a fault rewrites to their old value are left out). Reads only
+/// the touched beats. Duplicate semantics operate on the flat stream
+/// (beats may straddle a layer boundary — the DMA bursts the stream, not
+/// the layers). Deterministic and independent of fault order; throws
 /// ConfigError on an out-of-range index or bit.
+quant::WeightDeltas weight_fault_deltas(const quant::QNetwork& network,
+                                        const std::vector<WeightFault>& faults,
+                                        const WeightTransferParams& params = {});
+
+/// A deployment copy of `network` with weight_fault_deltas applied. An
+/// empty fault set returns a byte-identical copy.
 quant::QNetwork apply_weight_faults(const quant::QNetwork& network,
                                     const std::vector<WeightFault>& faults,
                                     const WeightTransferParams& params = {});

@@ -238,14 +238,13 @@ TrainedModel train_or_load(const ZooTrainSpec& spec) {
             load_weights(result.model, file.string());
             // A hit needs only the test set: the sidecar answers the
             // accuracy, or it is computed once and recorded.
-            const data::Dataset test =
-                data::make_datasets(spec.data_seed, 0, spec.test_size).test;
-            const std::uint32_t test_crc = dataset_crc(test);
+            result.test_set = data::make_datasets(spec.data_seed, 0, spec.test_size).test;
+            const std::uint32_t test_crc = dataset_crc(result.test_set);
             if (std::optional<double> accuracy =
                     read_sidecar(file, file_crc(file), test_crc)) {
                 result.test_accuracy = *accuracy;
             } else {
-                result.test_accuracy = evaluate_accuracy(result.model, test);
+                result.test_accuracy = evaluate_accuracy(result.model, result.test_set);
                 write_sidecar(file, test_crc, result.test_accuracy);
             }
             result.loaded_from_cache = true;
@@ -259,7 +258,7 @@ TrainedModel train_or_load(const ZooTrainSpec& spec) {
         }
     }
 
-    const data::DatasetPair datasets =
+    data::DatasetPair datasets =
         data::make_datasets(spec.data_seed, spec.train_size, spec.test_size);
     log_info("training ", architecture_name(spec.architecture), " (", spec.train_size,
              " samples, ", spec.train_config.epochs, " epochs)...");
@@ -275,6 +274,7 @@ TrainedModel train_or_load(const ZooTrainSpec& spec) {
     } catch (const Error& e) {
         log_warn("could not persist zoo cache: ", e.what());
     }
+    result.test_set = std::move(datasets.test);
     return result;
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "data/synth_mnist.hpp"
 #include "nn/model.hpp"
 #include "nn/trainer.hpp"
 
@@ -83,6 +84,11 @@ struct TrainedModel {
     Sequential model;
     double test_accuracy = 0.0;
     bool loaded_from_cache = false;
+    /// The spec's test set (data_seed, test_size), synthesized once on
+    /// every path: the test stream does not depend on train_size, so it is
+    /// the same set make_datasets(data_seed, n, test_size).test gives for
+    /// any n, and callers reuse it instead of synthesizing it again.
+    data::Dataset test_set;
 };
 
 /// Trains (or loads from the weight cache) the given architecture.

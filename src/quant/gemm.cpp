@@ -274,6 +274,7 @@ bool use_avx2() { return DS_GEMM_X86 && simd::active(); }
 void gemm_nt_s32(const std::int16_t* a, std::size_t lda, const std::int16_t* b,
                  std::size_t ldb, std::int32_t* c, std::size_t ldc, std::size_t m,
                  std::size_t n, std::size_t k) {
+    count_gemm(m, n, k);
 #if DS_GEMM_X86
     if (use_avx2()) {
         gemm_nt_s32_avx2(a, lda, b, ldb, c, ldc, m, n, k);
@@ -317,8 +318,13 @@ ConvGeom conv_geometry(const QTensor& input, const QTensor& weight,
 /// output pixel pix, K elements in the (ic, kr, kc) order weight rows
 /// use, zero-padded to `row_stride`. Each (ic, kr) span is k contiguous
 /// input elements, so the pack is a strided sequence of small copies.
-void im2col_rows(const QTensor& input, const ConvGeom& g, std::size_t row_stride,
-                 std::int16_t* rows) {
+/// `Kc` fixes k at compile time for the common kernel sizes, so those
+/// copies unroll instead of looping (or calling memcpy) per kernel row;
+/// 0 takes the runtime g.k.
+template <std::size_t Kc>
+void im2col_rows_k(const QTensor& input, const ConvGeom& g, std::size_t row_stride,
+                   std::int16_t* rows) {
+    const std::size_t k = Kc != 0 ? Kc : g.k;
     const std::int16_t* in = raw(input);
     std::int16_t* dst_row = rows;
     for (std::size_t r = 0; r < g.out_h; ++r) {
@@ -326,15 +332,24 @@ void im2col_rows(const QTensor& input, const ConvGeom& g, std::size_t row_stride
             std::int16_t* dst = dst_row;
             for (std::size_t ic = 0; ic < g.in_c; ++ic) {
                 const std::int16_t* src = in + (ic * g.in_h + r) * g.in_w + c;
-                for (std::size_t kr = 0; kr < g.k; ++kr) {
-                    std::memcpy(dst, src, g.k * sizeof(std::int16_t));
-                    dst += g.k;
+                for (std::size_t kr = 0; kr < k; ++kr) {
+                    for (std::size_t kc = 0; kc < k; ++kc) dst[kc] = src[kc];
+                    dst += k;
                     src += g.in_w;
                 }
             }
             for (std::size_t t = g.K; t < row_stride; ++t) dst_row[t] = 0;
             dst_row += row_stride;
         }
+    }
+}
+
+void im2col_rows(const QTensor& input, const ConvGeom& g, std::size_t row_stride,
+                 std::int16_t* rows) {
+    switch (g.k) {
+        case 3: im2col_rows_k<3>(input, g, row_stride, rows); break;
+        case 5: im2col_rows_k<5>(input, g, row_stride, rows); break;
+        default: im2col_rows_k<0>(input, g, row_stride, rows); break;
     }
 }
 
@@ -453,7 +468,6 @@ void dense_accs_impl(const std::vector<const QTensor*>& inputs,
 
     gemm_nt_s32(x, in_n, raw(weight), in_n, ws.c32.data(), out_n, n_images,
                 out_n, in_n);
-    count_gemm(n_images, out_n, in_n);
 
     const std::int16_t* b_raw = raw(bias);
     accs.resize(n_images);
@@ -502,10 +516,9 @@ void dense_accs_batch(const std::vector<const QTensor*>& inputs,
 void write_back(const fx::Acc* accs, std::size_t n, Activation activation,
                 QTensor& out) {
     assert(out.size() == n);
+    const Writeback writeback(activation);
     Q3_4* out_data = out.data();
-    for (std::size_t p = 0; p < n; ++p) {
-        out_data[p] = apply_activation(Q3_4::from_accumulator(accs[p]), activation);
-    }
+    for (std::size_t p = 0; p < n; ++p) out_data[p] = writeback(accs[p]);
 }
 
 } // namespace deepstrike::quant::gemm

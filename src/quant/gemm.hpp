@@ -52,7 +52,8 @@ inline constexpr std::size_t kImageBlock = 16;
 /// B rows at b + j*ldb ("NT" layout — both operands row-major, K on the
 /// fast axis). Overwrites C. Exact int32 accumulation; the caller
 /// guarantees k <= 65536 and |a*b| <= 2^14 per product (Q3.4 raws).
-/// Dispatches on simd::active(); exposed directly for tests and benches.
+/// Dispatches on simd::active() and counts quant.gemm.{calls,macs}; the
+/// dense layers and the golden-delta run products go through it.
 void gemm_nt_s32(const std::int16_t* a, std::size_t lda, const std::int16_t* b,
                  std::size_t ldb, std::int32_t* c, std::size_t ldc, std::size_t m,
                  std::size_t n, std::size_t k);

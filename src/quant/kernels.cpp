@@ -1,7 +1,5 @@
 #include "quant/kernels.hpp"
 
-#include <cassert>
-
 #include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
 
@@ -29,9 +27,7 @@ Q3_4 apply_activation(Q3_4 v, Activation activation) {
 
 namespace {
 
-/// Shape validation shared by the public conv entry points; hoisted out
-/// of the range kernel so the per-element hot path (the detail:: variant)
-/// stays branch-light.
+/// Shape validation shared by the public conv entry points.
 void validate_conv(const QTensor& input, const QTensor& weight,
                    const QTensor& bias) {
     expects(input.shape().rank() == 3, "qconv2d: input rank 3");
@@ -79,47 +75,6 @@ QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias
     gemm::conv2d_accs(input, weight, bias, accs);
     gemm::write_back(accs.data(), accs.size(), activation, out);
     return out;
-}
-
-void detail::qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
-                                       const QTensor& bias, Activation activation,
-                                       std::size_t elem_begin, std::size_t elem_end,
-                                       QTensor& out) {
-    assert(elem_begin <= elem_end && elem_end <= out.size());
-    const std::size_t in_c = input.shape().dim(0);
-    const std::size_t in_h = input.shape().dim(1);
-    const std::size_t in_w = input.shape().dim(2);
-    const std::size_t k = weight.shape().dim(2);
-    const std::size_t kk = k * k;
-    const std::size_t out_w = in_w - k + 1;
-    const std::size_t plane = (in_h - k + 1) * out_w;
-
-    const Q3_4* in_data = input.data();
-    const Q3_4* w_data = weight.data();
-    const Q3_4* b_data = bias.data();
-    Q3_4* out_data = out.data();
-
-    for (std::size_t p = elem_begin; p < elem_end; ++p) {
-        const std::size_t oc = p / plane;
-        const std::size_t rc = p % plane;
-        const std::size_t r = rc / out_w;
-        const std::size_t c = rc % out_w;
-        std::int32_t acc32 = 0;
-        const Q3_4* w_oc = w_data + oc * in_c * kk;
-        for (std::size_t ic = 0; ic < in_c; ++ic) {
-            for (std::size_t kr = 0; kr < k; ++kr) {
-                const Q3_4* in_row = in_data + (ic * in_h + r + kr) * in_w + c;
-                const Q3_4* w_row = w_oc + ic * kk + kr * k;
-                for (std::size_t kc = 0; kc < k; ++kc) {
-                    acc32 += static_cast<std::int32_t>(in_row[kc].raw()) * w_row[kc].raw();
-                }
-            }
-        }
-        // Bias enters the accumulator in product units (2^(2*frac)).
-        const fx::Acc acc =
-            (static_cast<fx::Acc>(b_data[oc].raw()) << Q3_4::frac_bits) + acc32;
-        out_data[p] = apply_activation(Q3_4::from_accumulator(acc), activation);
-    }
 }
 
 void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,

@@ -78,20 +78,4 @@ void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& b
 void qdense_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
                   Activation activation, QTensor& out, std::vector<fx::Acc>& accs);
 
-namespace detail {
-
-/// Per-element conv range kernel: computes output elements [elem_begin,
-/// elem_end) in row-major (oc, r, c) order into a preallocated `out`,
-/// leaving the rest untouched; byte-identical to qconv2d on those
-/// elements. Shape/range validation is the caller's responsibility
-/// (assert() in debug builds only): the sparse conv patcher of the
-/// golden-elided engine path calls it per single output element, on
-/// shapes validated once when the golden trace was built.
-void qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
-                               const QTensor& bias, Activation activation,
-                               std::size_t elem_begin, std::size_t elem_end,
-                               QTensor& out);
-
-} // namespace detail
-
 } // namespace deepstrike::quant

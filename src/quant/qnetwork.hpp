@@ -32,6 +32,28 @@ enum class Activation : std::uint8_t { None, Tanh, Relu, Sign };
 
 const char* activation_name(Activation activation);
 
+/// The writeback stage of a Conv/Dense output:
+/// apply_activation(Q3_4::from_accumulator(acc), activation), with the
+/// tanh LUT resolved once per layer instead of once per element.
+class Writeback {
+public:
+    explicit Writeback(Activation activation)
+        : activation_(activation), tanh_(&fx::TanhLut::instance()) {}
+
+    fx::Q3_4 operator()(fx::Acc acc) const {
+        const fx::Q3_4 v = fx::Q3_4::from_accumulator(acc);
+        switch (activation_) {
+            case Activation::None: return v;
+            case Activation::Tanh: return (*tanh_)(v);
+            default: return apply_activation(v, activation_);
+        }
+    }
+
+private:
+    Activation activation_;
+    const fx::TanhLut* tanh_;
+};
+
 /// Weight quantization format of the deployed network.
 ///   Q3_4   — full 8-bit fixed-point weights (the paper's victim).
 ///   Binary — sign-activated layers deploy ±1 weights on the Q3.4 grid
@@ -88,10 +110,6 @@ struct QNetwork {
     /// Resumes the forward pass at `first_layer`, with `activation` the
     /// output of layer first_layer - 1 (or the quantized input when
     /// first_layer == 0). forward_from(0, x) == forward(x) byte-exactly.
-    /// This is the golden-prefix elision primitive of the weight-transfer
-    /// attack family (sim/search.hpp): when faults can only begin at
-    /// layer k, the unfaulted prefix is answered from cached golden
-    /// activations and only layers k.. run on the faulted weights.
     QTensor forward_from(std::size_t first_layer, const QTensor& activation) const;
 
     /// Per-layer outputs of one golden forward pass, indexed like `layers`

@@ -8,8 +8,8 @@
 // accel/weight_transfer.hpp) addresses its fault targets by position in
 // this stream, so the view is the shared coordinate system between the
 // search layer (attack::SearchDriver optimizes over word indices) and
-// the fault hook (accel::apply_weight_faults corrupts the addressed
-// words in flight).
+// the fault hook (accel::weight_fault_deltas states which words a fault
+// set corrupts in flight).
 //
 // Biases and pooling layers carry no stream words: biases live in the
 // accelerator's control stream (per-output, loaded once with the
@@ -53,8 +53,11 @@ public:
     /// when `index` is out of range.
     WordRef locate(std::size_t index) const;
 
-    /// Index of the earliest network layer any of `indices` lands in
-    /// (= the first layer whose activations can diverge from golden).
+    /// Index of the earliest network layer any of `indices` lands in.
+    /// Word-granular: a Duplicate fault rewrites the whole beat holding its
+    /// word, which can start in an earlier layer, so this is not the first
+    /// layer a fault set changes — take that from the changed words
+    /// (quant::first_changed_layer over accel::weight_fault_deltas).
     /// Returns the layer count when `indices` is empty.
     std::size_t first_faulted_layer(const std::vector<std::uint32_t>& indices,
                                     std::size_t layer_count) const;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "quant/golden_delta.hpp"
 #include "quant/weight_stream.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
@@ -29,31 +30,55 @@ std::string candidate_key(const attack::FaultSet& set) {
     return key;
 }
 
-/// Counts correct predictions of `network` over the first `n` images,
-/// resuming each image from the cached golden activation when the fault
-/// set leaves a clean layer prefix. `first_faulted` == layer count means
-/// no layer is faulted (the golden predictions themselves).
-std::size_t correct_predictions(const quant::QNetwork& network,
-                                const data::Dataset& test_set, std::size_t n,
-                                const GoldenStore* golden,
-                                std::size_t first_faulted) {
+/// Correct predictions of `network` over the first `n` images, each a full
+/// forward pass (the reference path, --no-golden-cache).
+std::size_t correct_full_forward(const quant::QNetwork& network,
+                                 const data::Dataset& test_set, std::size_t n) {
     std::size_t correct = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        std::size_t predicted = 0;
-        if (golden != nullptr && first_faulted >= network.layers.size()) {
-            predicted = golden->entries[i].predicted;
-        } else if (golden != nullptr && first_faulted > 0) {
-            const QTensor out = network.forward_from(
-                first_faulted,
-                golden->entries[i].activations[first_faulted - 1]);
-            predicted = argmax(out);
+        const std::size_t predicted = argmax(network.forward(quantize(test_set.images[i])));
+        correct += predicted == test_set.labels[i] ? 1 : 0;
+    }
+    return correct;
+}
+
+/// Correct predictions of `network` with the weight changes `deltas` over
+/// the images of `golden`: each image pushes the changes through its
+/// golden pass (quant::propagate_delta) from the first changed layer, and
+/// an image whose logits come out unchanged answers with its golden label.
+std::size_t correct_golden_delta(const quant::QNetwork& network,
+                                 const data::Dataset& test_set, std::size_t n,
+                                 const GoldenStore& golden,
+                                 const quant::WeightDeltas& deltas) {
+    const std::size_t layer_count = network.layers.size();
+    const std::size_t first = quant::first_changed_layer(deltas);
+    quant::DeltaStats stats;
+    quant::ActivationDelta delta;
+    std::size_t golden_images = 0;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const GoldenEntry& entry = golden.entries[i];
+        delta.clear();
+        quant::propagate_delta(
+            network, {entry.qimage, entry.activations, entry.accumulators}, &deltas,
+            first, layer_count, delta, stats);
+        std::size_t predicted = entry.predicted;
+        if (delta.empty()) {
+            ++golden_images;
         } else {
-            const QTensor input = golden != nullptr
-                                      ? golden->entries[i].qimage
-                                      : quantize(test_set.images[i]);
-            predicted = argmax(network.forward_from(0, input));
+            predicted = argmax(quant::apply_delta(entry.activations.back(), delta));
         }
         correct += predicted == test_set.labels[i] ? 1 : 0;
+    }
+    if (metrics::enabled()) {
+        metrics::counter("search.eval.golden_images", "images",
+                         "candidate images whose logits stayed golden (answered by "
+                         "the golden label)")
+            .add(golden_images);
+        metrics::counter("search.eval.dense_layers", "layers",
+                         "layers of candidate images run as a dense pass by the "
+                         "golden-delta cost rule")
+            .add(stats.dense_layers);
     }
     return correct;
 }
@@ -164,15 +189,18 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
 
     SweepRunner runner(RunnerConfig{cfg.threads, false});
 
-    // Golden slice: activations for prefix elision plus the clean
-    // predictions the drop is measured against.
+    // Golden slice: every image's golden pass for delta propagation plus
+    // the clean predictions the drop is measured against.
     std::shared_ptr<const GoldenStore> golden;
+    std::size_t clean_correct = 0;
     if (cfg.golden_cache) {
         golden = runner.golden_cache().ensure(network, test_set, n_images);
+        for (std::size_t i = 0; i < n_images; ++i) {
+            clean_correct += golden->entries[i].predicted == test_set.labels[i] ? 1 : 0;
+        }
+    } else {
+        clean_correct = correct_full_forward(network, test_set, n_images);
     }
-    const std::size_t layer_count = network.layers.size();
-    const std::size_t clean_correct = correct_predictions(
-        network, test_set, n_images, golden.get(), layer_count);
 
     metrics::counter("search.runs", "runs", "weight-fault searches started").add();
     metrics::gauge("search.space", "words",
@@ -211,15 +239,19 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
             const attack::FaultSet& candidate = *fresh[i];
             tasks.push_back(
                 {"candidate " + fresh_keys[i], [&, i, &candidate = candidate] {
-                     const quant::QNetwork faulted = accel::apply_weight_faults(
-                         network,
+                     const std::vector<accel::WeightFault> faults =
                          accel::uniform_weight_faults(candidate, cfg.fault_kind,
-                                                      cfg.fault_bit),
-                         cfg.transfer);
-                     const std::size_t first = view.first_faulted_layer(
-                         candidate, layer_count);
-                     const std::size_t correct = correct_predictions(
-                         faulted, test_set, n_images, golden.get(), first);
+                                                      cfg.fault_bit);
+                     const std::size_t correct =
+                         golden != nullptr
+                             ? correct_golden_delta(
+                                   network, test_set, n_images, *golden,
+                                   accel::weight_fault_deltas(network, faults,
+                                                              cfg.transfer))
+                             : correct_full_forward(
+                                   accel::apply_weight_faults(network, faults,
+                                                              cfg.transfer),
+                                   test_set, n_images);
                      fresh_drops[i] =
                          100.0 *
                          (static_cast<double>(clean_correct) -

@@ -17,12 +17,15 @@
 //   1. candidate-level memoization — DES revisits candidates across
 //      generations; identical sets answer from a cache without running
 //      (the driver still counts them against the logical budget);
-//   2. golden-prefix elision — faults landing first in layer k leave
-//      layers 0..k-1 byte-identical to golden, so evaluation resumes
-//      from the GoldenCache's cached activation at k-1 via
-//      QNetwork::forward_from (for LeNet-5, ~97% of the weight stream
-//      lives in FC1, eliding the expensive conv prefix for most
-//      candidates).
+//   2. golden-delta scoring — a candidate changes at most a few beats of
+//      weight words, so it is stated once as sparse per-layer weight
+//      deltas (accel::weight_fault_deltas) and pushed through each
+//      image's cached golden pass (quant::propagate_delta): layers before
+//      the first changed word are never touched, a changed layer updates
+//      only the accumulators its deltas reach, and an image whose change
+//      set dies out answers with its golden label. No faulted network
+//      copy, no full forward pass; --no-golden-cache keeps the
+//      full-forward reference, byte-identical by construction.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +58,9 @@ struct WeightFaultSearchConfig {
     /// Fitness is the accuracy drop over the first eval_images of the
     /// test set (percentage points).
     std::size_t eval_images = 256;
-    /// Golden-prefix elision via GoldenCache (off = full forward passes;
-    /// results are byte-identical either way).
+    /// Golden-delta scoring against the GoldenCache (off = a faulted
+    /// network copy and full forward passes; results are byte-identical
+    /// either way).
     bool golden_cache = true;
     std::size_t threads = 0;
     std::string journal_path;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/campaign.hpp"
+#include "sim/search.hpp"
 #include "test_helpers.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -99,6 +100,56 @@ TEST(Observability, CounterTotalsIdenticalAtAnyThreadCount) {
     EXPECT_TRUE(saw_pdn);
     EXPECT_GT(skipped, 0u);
     EXPECT_LE(skipped, unsafe);
+}
+
+/// Runs one small Deep-Dup weight-fault search with the metric sink on
+/// and returns the snapshot.
+metrics::MetricsSnapshot run_small_search(std::size_t threads, bool golden_cache) {
+    metrics::reset();
+    metrics::set_enabled(true);
+    WeightFaultSearchConfig config;
+    config.spec.max_faults = 3;
+    config.spec.population = 8;
+    config.spec.budget = 80;
+    config.spec.seed = 5;
+    config.transfer.beat_words = 7;
+    config.eval_images = 16;
+    config.threads = threads;
+    config.golden_cache = golden_cache;
+    run_weight_fault_search(deepstrike::testing::random_qnetwork(62),
+                            data::make_datasets(9, 1, 16).test, config);
+    metrics::MetricsSnapshot snapshot = metrics::snapshot();
+    metrics::set_enabled(false);
+    metrics::reset();
+    return snapshot;
+}
+
+std::uint64_t counter_value(const metrics::MetricsSnapshot& snapshot,
+                            const std::string& name) {
+    for (const auto& c : snapshot.counters) {
+        if (c.name == name) return c.value;
+    }
+    return 0;
+}
+
+TEST(Observability, SearchCounterTotalsIdenticalAtAnyThreadCount) {
+    // Golden-delta scoring decides per image, from the data alone, whether
+    // a change dies out and which layers run dense, so the search.eval.*
+    // totals are as thread-invariant as the report.
+    const metrics::MetricsSnapshot serial = run_small_search(1, true);
+    const metrics::MetricsSnapshot parallel = run_small_search(4, true);
+    expect_deterministic_equal(serial, parallel);
+
+    const std::uint64_t evaluated = counter_value(serial, "search.candidates_evaluated");
+    const std::uint64_t golden = counter_value(serial, "search.eval.golden_images");
+    ASSERT_GT(evaluated, 0u);
+    EXPECT_GT(golden, 0u) << "beat-0 and no-op candidates answer golden";
+    EXPECT_LT(golden, evaluated * 16) << "most candidates change some logits";
+
+    // The full-forward reference path moves neither counter.
+    const metrics::MetricsSnapshot reference = run_small_search(1, false);
+    EXPECT_EQ(counter_value(reference, "search.eval.golden_images"), 0u);
+    EXPECT_EQ(counter_value(reference, "search.eval.dense_layers"), 0u);
 }
 
 TEST(Observability, ReportBytesUnchangedBySinks) {

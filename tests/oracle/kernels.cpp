@@ -67,27 +67,25 @@ void qdense_outputs_unchecked(const QTensor& input, const QTensor& weight,
 
 } // namespace
 
-void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                   Activation activation, QTensor& out, std::vector<fx::Acc>& accs) {
-    validate_conv(input, weight, bias);
+void qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
+                               const QTensor& bias, Activation activation,
+                               std::size_t elem_begin, std::size_t elem_end,
+                               QTensor& out, fx::Acc* accs) {
+    assert(elem_begin <= elem_end && elem_end <= out.size());
     const std::size_t in_c = input.shape().dim(0);
     const std::size_t in_h = input.shape().dim(1);
     const std::size_t in_w = input.shape().dim(2);
-    const std::size_t out_c = weight.shape().dim(0);
     const std::size_t k = weight.shape().dim(2);
     const std::size_t kk = k * k;
-    const std::size_t out_h = in_h - k + 1;
     const std::size_t out_w = in_w - k + 1;
-    const std::size_t plane = out_h * out_w;
-    out = QTensor(Shape{out_c, out_h, out_w});
+    const std::size_t plane = (in_h - k + 1) * out_w;
 
-    accs.resize(out.size());
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = weight.data();
     const Q3_4* b_data = bias.data();
     Q3_4* out_data = out.data();
 
-    for (std::size_t p = 0; p < out.size(); ++p) {
+    for (std::size_t p = elem_begin; p < elem_end; ++p) {
         const std::size_t oc = p / plane;
         const std::size_t rc = p % plane;
         const std::size_t r = rc / out_w;
@@ -106,9 +104,20 @@ void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& b
         // Bias enters the accumulator in product units (2^(2*frac)).
         const fx::Acc acc =
             (static_cast<fx::Acc>(b_data[oc].raw()) << Q3_4::frac_bits) + acc32;
-        accs[p] = acc;
+        if (accs != nullptr) accs[p] = acc;
         out_data[p] = apply_activation(Q3_4::from_accumulator(acc), activation);
     }
+}
+
+void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
+                   Activation activation, QTensor& out, std::vector<fx::Acc>& accs) {
+    validate_conv(input, weight, bias);
+    const std::size_t k = weight.shape().dim(2);
+    out = QTensor(Shape{weight.shape().dim(0), input.shape().dim(1) - k + 1,
+                        input.shape().dim(2) - k + 1});
+    accs.resize(out.size());
+    qconv2d_outputs_unchecked(input, weight, bias, activation, 0, out.size(), out,
+                              accs.data());
 }
 
 void qdense_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,

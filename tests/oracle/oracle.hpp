@@ -39,6 +39,15 @@ void qdense_trace(const QTensor& input, const QTensor& weight, const QTensor& bi
                   quant::Activation activation, QTensor& out,
                   std::vector<fx::Acc>& accs);
 
+/// Conv range kernel: computes output elements [elem_begin, elem_end) in
+/// row-major (oc, r, c) order into a preallocated `out` (and their
+/// accumulators into `accs`, indexed like `out`, when non-null), leaving
+/// the rest untouched. Shapes unchecked: the caller validated them.
+void qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
+                               const QTensor& bias, quant::Activation activation,
+                               std::size_t elem_begin, std::size_t elem_end,
+                               QTensor& out, fx::Acc* accs = nullptr);
+
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 quant::Activation activation);
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,

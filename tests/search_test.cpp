@@ -245,6 +245,62 @@ TEST(WeightFaultSearch, GoldenCacheElisionIsByteExact) {
     EXPECT_EQ(with.to_json().dump(2), without.to_json().dump(2));
 }
 
+namespace {
+
+/// A victim whose layers are shorter than a 16-word beat, so most beats
+/// straddle a layer boundary: CONV1 holds stream words 0..17, CONV2 18..53
+/// and FC1 54..233.
+quant::QNetwork straddling_network() {
+    Rng rng(5);
+    quant::QNetwork net;
+    net.input_shape = Shape{1, 28, 28};
+    net.layers.push_back({quant::QLayerKind::AvgPool2, "POOL1", {}, {}, false});
+    net.layers.push_back({quant::QLayerKind::AvgPool2, "POOL2", {}, {}, false});
+    net.layers.push_back({quant::QLayerKind::Conv, "CONV1",
+                          deepstrike::testing::random_qtensor(Shape{2, 1, 3, 3}, rng, 1.5),
+                          deepstrike::testing::random_qtensor(Shape{2}, rng, 0.25),
+                          quant::Activation::Tanh});
+    net.layers.push_back({quant::QLayerKind::Conv, "CONV2",
+                          deepstrike::testing::random_qtensor(Shape{2, 2, 3, 3}, rng, 1.5),
+                          deepstrike::testing::random_qtensor(Shape{2}, rng, 0.25),
+                          quant::Activation::Tanh});
+    net.layers.push_back({quant::QLayerKind::Dense, "FC1",
+                          deepstrike::testing::random_qtensor(Shape{10, 18}, rng, 1.5),
+                          deepstrike::testing::random_qtensor(Shape{10}, rng, 0.25),
+                          quant::Activation::None});
+    return net;
+}
+
+} // namespace
+
+TEST(WeightFaultSearch, GoldenCacheScoresBeatsThatStraddleALayerBoundary) {
+    // A Duplicate fault rewrites its whole beat, which can start in the
+    // layer before the faulted word: scoring must start from the first
+    // word the beat actually changes, or the report drifts from the
+    // full-forward reference.
+    const quant::QNetwork network = straddling_network();
+    const data::Dataset test = data::make_datasets(7, 1, 48).test;
+    sim::WeightFaultSearchConfig config;
+    config.transfer.beat_words = 16;
+    config.spec.max_faults = 2;
+    config.spec.population = 8;
+    config.spec.budget = 160;
+    config.spec.seed = 4;
+    config.spec.stall_generations = 3;
+    config.eval_images = 48;
+    for (const accel::WeightFaultKind kind :
+         {accel::WeightFaultKind::Duplicate, accel::WeightFaultKind::BitFlip}) {
+        config.fault_kind = kind;
+        config.golden_cache = true;
+        const std::string with =
+            sim::run_weight_fault_search(network, test, config).to_json().dump(2);
+        config.golden_cache = false;
+        const std::string without =
+            sim::run_weight_fault_search(network, test, config).to_json().dump(2);
+        EXPECT_EQ(with, without) << accel::weight_fault_kind_name(kind);
+    }
+}
+
 TEST(WeightFaultSearch, DeepLaserOutDamagesItsBudgetOnARandomNet) {
     // Sign flips move Q3.4 weights by 8.0 — even an untrained network's
     // outputs must change; the report plumbing must carry the drop.

@@ -294,5 +294,30 @@ TEST(TrainOrLoad, SidecarIsKeyedByTheWeightsFileAndTheTestSet) {
     fs::remove_all(dir);
 }
 
+TEST(TrainOrLoad, CarriesTheTestSetOnEveryPath) {
+    // Callers reuse TrainedModel::test_set instead of synthesizing it
+    // again, so a fresh training run and a cache hit must both carry
+    // exactly the set make_datasets gives (the test stream does not depend
+    // on train_size).
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "ds_cache_test_set_test";
+    fs::remove_all(dir);
+    const ZooTrainSpec spec = tiny_spec(dir);
+    const data::Dataset expected = data::make_datasets(spec.data_seed, 1, spec.test_size).test;
+
+    const TrainedModel trained = train_or_load(spec);
+    ASSERT_FALSE(trained.loaded_from_cache);
+    const TrainedModel loaded = train_or_load(spec);
+    ASSERT_TRUE(loaded.loaded_from_cache);
+    for (const TrainedModel* model : {&trained, &loaded}) {
+        ASSERT_EQ(model->test_set.size(), spec.test_size);
+        EXPECT_EQ(model->test_set.labels, expected.labels);
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ(model->test_set.images[i], expected.images[i]) << "image " << i;
+        }
+    }
+    fs::remove_all(dir);
+}
+
 } // namespace
 } // namespace deepstrike::nn

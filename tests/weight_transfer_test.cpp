@@ -199,9 +199,8 @@ TEST(WeightTransfer, RandomizedNoFaultPathMatchesPlainForward) {
 }
 
 TEST(WeightTransfer, ForwardFromMatchesFullForwardAtEveryLayer) {
-    // The golden-prefix elision primitive: resuming the forward pass at
-    // layer k from the recorded activation reproduces the suffix
-    // byte-exactly, faulted weights or not.
+    // Resuming the forward pass at layer k from the recorded activation
+    // reproduces the suffix byte-exactly, faulted weights or not.
     const quant::QNetwork net = deepstrike::testing::random_qnetwork(41);
     const quant::QNetwork faulted = accel::apply_weight_faults(
         net, {WeightFault{2600, WeightFaultKind::BitFlip, 7}});

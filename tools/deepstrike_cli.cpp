@@ -150,11 +150,12 @@ struct Victim {
     nn::Architecture arch;
     nn::TrainedModel trained;
     sim::Platform platform;
-    data::Dataset test_set;
 
     /// The quantized network as deployed on the accelerator (the platform
     /// owns the only copy).
     const quant::QNetwork& network() const { return platform.engine().network(); }
+    /// The victim's test set, synthesized once by train_or_load.
+    const data::Dataset& test_set() const { return trained.test_set; }
 };
 
 Victim load_victim(const ArgParser& parser) {
@@ -173,9 +174,7 @@ Victim load_victim(const ArgParser& parser) {
     sim::PlatformConfig platform_config;
     platform_config.accel = accel::accel_config_for(spec.architecture);
     sim::Platform platform(platform_config, std::move(network));
-    data::Dataset test = data::make_datasets(spec.data_seed, 1, spec.test_size).test;
-    return Victim{spec.architecture, std::move(trained), std::move(platform),
-                  std::move(test)};
+    return Victim{spec.architecture, std::move(trained), std::move(platform)};
 }
 
 // ----------------------------------------------------------------- train
@@ -199,7 +198,7 @@ int cmd_train(const std::vector<std::string>& args) {
     std::printf("float test accuracy : %.4f%s\n", victim.trained.test_accuracy,
                 victim.trained.loaded_from_cache ? " (cache)" : "");
     std::printf("quantized accuracy  : %.4f\n",
-                victim.network().evaluate_accuracy(victim.test_set));
+                victim.network().evaluate_accuracy(victim.test_set()));
     std::printf("parameters          : %zu (8-bit %s)\n",
                 victim.network().parameter_count(),
                 quant::quant_format_name(victim.network().format));
@@ -331,7 +330,7 @@ int cmd_attack(const std::vector<std::string>& args) {
     const std::size_t images = parser.option_uint("images");
 
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, nullptr, 1);
+        sim::evaluate_accuracy(victim.platform, victim.test_set(), images, nullptr, 1);
 
     attack::AttackScheme scheme;
     const std::string scheme_path = parser.option("scheme");
@@ -362,13 +361,13 @@ int cmd_attack(const std::vector<std::string>& args) {
     if (parser.flag("blind")) {
         const auto traces =
             sim::blind_attack_traces(victim.platform, scheme, 10, 777);
-        attacked = sim::evaluate_accuracy_multi(victim.platform, victim.test_set,
+        attacked = sim::evaluate_accuracy_multi(victim.platform, victim.test_set(),
                                                 images, traces, 1);
     } else {
         const accel::VoltageTrace trace = sim::guided_attack_trace(
             victim.platform, attack::DetectorConfig{}, scheme);
         attacked =
-            sim::evaluate_accuracy(victim.platform, victim.test_set, images, &trace, 1);
+            sim::evaluate_accuracy(victim.platform, victim.test_set(), images, &trace, 1);
     }
 
     std::printf("mode                : %s\n", parser.flag("blind") ? "blind" : "guided");
@@ -448,7 +447,7 @@ int cmd_campaign(const std::vector<std::string>& args) {
 
     sim::RunManifest manifest;
     const sim::CampaignReport report =
-        sim::run_campaign(victim.platform, victim.test_set, cfg, &manifest);
+        sim::run_campaign(victim.platform, victim.test_set(), cfg, &manifest);
     manifest.metrics_out = sinks.metrics_path;
     manifest.trace_out = sinks.trace_path;
     std::printf("%s", report.to_markdown().c_str());
@@ -528,15 +527,14 @@ int cmd_search(const std::vector<std::string>& args) {
                       "here so an interrupted search can be resumed",
                       "");
     add_threads_option(parser);
-    add_engine_options(parser);
     add_observability_options(parser);
     parser.add_flag("resume",
                     "resume from the --journal file: validate its fingerprint "
                     "and continue from the newest recorded generation");
     parser.add_flag("no-golden-cache",
-                    "run full forward passes instead of resuming faulted "
-                    "evaluation from cached golden activations (reports are "
-                    "byte-identical either way)");
+                    "score candidates with a faulted network copy and full "
+                    "forward passes instead of golden-delta propagation "
+                    "(reports are byte-identical either way)");
     parser.add_flag("help", "show this help");
     if (!parser.parse(args)) {
         std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
@@ -548,7 +546,6 @@ int cmd_search(const std::vector<std::string>& args) {
     }
 
     apply_threads_option(parser);
-    apply_engine_options(parser);
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     Victim victim = load_victim(parser);
 
@@ -592,7 +589,7 @@ int cmd_search(const std::vector<std::string>& args) {
 
     sim::RunManifest manifest;
     const sim::SearchReport report = sim::run_weight_fault_search(
-        victim.network(), victim.test_set, cfg, &manifest);
+        victim.network(), victim.test_set(), cfg, &manifest);
     manifest.metrics_out = sinks.metrics_path;
     manifest.trace_out = sinks.trace_path;
     std::printf("%s", report.to_markdown().c_str());
@@ -713,11 +710,11 @@ int cmd_defend(const std::vector<std::string>& args) {
     const defense::DefenseOutcome def = defense::run_monitor(
         cosim.tdc_readouts, victim.platform.engine().schedule().total_cycles);
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, nullptr, 1);
+        sim::evaluate_accuracy(victim.platform, victim.test_set(), images, nullptr, 1);
     const sim::AccuracyResult undefended = sim::evaluate_accuracy(
-        victim.platform, victim.test_set, images, &cosim.capture_v, 1);
+        victim.platform, victim.test_set(), images, &cosim.capture_v, 1);
     const sim::AccuracyResult defended = sim::evaluate_accuracy_defended(
-        victim.platform, victim.test_set, images, cosim.capture_v, def.throttle, 1);
+        victim.platform, victim.test_set(), images, cosim.capture_v, def.throttle, 1);
 
     std::printf("clean accuracy      : %.4f\n", clean.accuracy);
     std::printf("under attack        : %.4f\n", undefended.accuracy);
@@ -755,9 +752,9 @@ int cmd_defend(const std::vector<std::string>& args) {
         sim::Platform hardened(hardened_config, std::move(hardened_net));
 
         const sim::AccuracyResult hardened_clean =
-            sim::evaluate_accuracy(hardened, victim.test_set, images, nullptr, 1);
+            sim::evaluate_accuracy(hardened, victim.test_set(), images, nullptr, 1);
         const sim::AccuracyResult hardened_attacked = sim::evaluate_accuracy(
-            hardened, victim.test_set, images, &cosim.capture_v, 1);
+            hardened, victim.test_set(), images, &cosim.capture_v, 1);
         std::printf("fault-aware clean   : %.4f\n", hardened_clean.accuracy);
         std::printf("fault-aware attacked: %.4f (recovers %.2f%% of the drop)\n",
                     hardened_attacked.accuracy,
@@ -943,9 +940,7 @@ int cmd_work(const std::vector<std::string>& args) {
         sim::PlatformConfig platform_config;
         platform_config.accel = accel::accel_config_for(spec.architecture);
         sim::Platform platform(platform_config, std::move(network));
-        data::Dataset test =
-            data::make_datasets(spec.data_seed, 1, spec.test_size).test;
-        return sim::WorkerVictim{std::move(platform), std::move(test)};
+        return sim::WorkerVictim{std::move(platform), std::move(trained.test_set)};
     };
 
     sim::WorkerStats stats;
